@@ -76,6 +76,19 @@ fn usage() -> ! {
     exit(2);
 }
 
+/// Parses `raw` as the value of `flag`: a finite number satisfying `ok`
+/// (described by `rule`), or a one-line error plus the usage. Bad values
+/// would otherwise panic deep in the workload or power models.
+fn finite(flag: &str, raw: &str, rule: &str, ok: fn(f64) -> bool) -> f64 {
+    match raw.parse::<f64>() {
+        Ok(v) if v.is_finite() && ok(v) => v,
+        _ => {
+            eprintln!("invalid {flag} {raw}: must be a finite number {rule}");
+            usage()
+        }
+    }
+}
+
 fn parse_args() -> Args {
     let mut args = Args::default();
     let mut it = std::env::args().skip(1);
@@ -90,15 +103,15 @@ fn parse_args() -> Args {
             "--device" => args.device = value("--device"),
             "--scheduler" => args.scheduler = value("--scheduler"),
             "--workload" => args.workload = value("--workload"),
-            "--rate" => args.rate = value("--rate").parse().unwrap_or_else(|_| usage()),
-            "--scale" => args.scale = value("--scale").parse().unwrap_or_else(|_| usage()),
+            "--rate" => args.rate = finite("--rate", &value("--rate"), "> 0", |v| v > 0.0),
+            "--scale" => args.scale = finite("--scale", &value("--scale"), "> 0", |v| v > 0.0),
             "--requests" => args.requests = value("--requests").parse().unwrap_or_else(|_| usage()),
             "--seed" => args.seed = value("--seed").parse().unwrap_or_else(|_| usage()),
             "--warmup" => args.warmup = value("--warmup").parse().unwrap_or_else(|_| usage()),
             "--cache" => args.cache = true,
             "--idle-timeout" => {
-                args.idle_timeout =
-                    Some(value("--idle-timeout").parse().unwrap_or_else(|_| usage()))
+                let raw = value("--idle-timeout");
+                args.idle_timeout = Some(finite("--idle-timeout", &raw, ">= 0", |v| v >= 0.0));
             }
             "--help" | "-h" => usage(),
             other => {

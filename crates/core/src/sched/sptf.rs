@@ -46,7 +46,21 @@
 //! the rest key changes. Debug builds cross-check every cache hit against
 //! a fresh rescan of that bucket. [`RescanSptfScheduler`] retains the
 //! previous B-tree rescan-every-pick implementation as the equivalence
-//! reference.
+//! reference. In driver runs the device moves on every service, so the
+//! cache hits only on a re-pick from an unchanged rest state: the
+//! election loop of a queue-timeout overload policy.
+//!
+//! # The shallow-queue path
+//!
+//! At moderate load most picks find zero or one pending request, and with
+//! one candidate the winner is the same under any score. Both production
+//! schedulers therefore answer such picks before any of the above: an
+//! empty queue returns `None` at once, a lone arrival is popped straight
+//! from the unbucketed inbox (it never enters the index), and a lone
+//! indexed request is found with one occupancy-bitmap scan. No
+//! positioning time is computed. The lone candidate still counts as
+//! examined (or as a cache hit, when its bucket's slot is valid), so
+//! scheduler counters read exactly as if the scan had run.
 //!
 //! [`AgedSptfScheduler`] is the classic aged variant \[WGP94]: each
 //! request's positioning estimate is discounted by how long it has waited,
@@ -465,23 +479,104 @@ fn pruned_best_flat<O: PositionOracle + ?Sized, F: Fn(&Request, f64) -> f64>(
     best.map(|(_, _, bucket, idx)| (bucket, idx))
 }
 
-/// Moves the arrivals of `inbox` into the flat index, invalidating the
-/// cache slot of every touched bucket.
-fn index_arrivals_flat<O: PositionOracle + ?Sized>(
-    inbox: &mut Vec<(u64, Request)>,
-    index: &mut FlatIndex,
-    mut cache: Option<&mut PickCache>,
-    device: &O,
-) {
-    for (seq, req) in inbox.drain(..) {
-        let bucket = usize::try_from(device.position_bucket(&req)).expect("bucket fits usize");
-        index.push(bucket, seq, req);
-        if let Some(c) = cache.as_deref_mut() {
-            c.invalidate_bucket(bucket);
+/// The pending set of a flat-index SPTF scheduler ([`SptfScheduler`],
+/// [`AgedSptfScheduler`]): unbucketed arrivals, the bucket index, and the
+/// bookkeeping every pick updates.
+#[derive(Debug, Default)]
+struct FlatQueue {
+    /// Arrivals not yet bucketed (bucketing needs the device, which
+    /// `enqueue` does not see).
+    inbox: Vec<(u64, Request)>,
+    index: FlatIndex,
+    len: usize,
+    next_seq: u64,
+    counters: SchedCounters,
+}
+
+impl FlatQueue {
+    /// Queues an arrival, returning its enqueue sequence number.
+    fn enqueue(&mut self, req: Request) -> u64 {
+        let seq = self.next_seq;
+        self.inbox.push((seq, req));
+        self.next_seq += 1;
+        self.len += 1;
+        seq
+    }
+
+    /// Moves the inbox into the flat index, invalidating the cache slot of
+    /// every touched bucket.
+    fn index_arrivals<O: PositionOracle + ?Sized>(
+        &mut self,
+        mut cache: Option<&mut PickCache>,
+        device: &O,
+    ) {
+        for (seq, req) in self.inbox.drain(..) {
+            let bucket = usize::try_from(device.position_bucket(&req)).expect("bucket fits usize");
+            self.index.push(bucket, seq, req);
+            if let Some(c) = cache.as_deref_mut() {
+                c.invalidate_bucket(bucket);
+            }
+        }
+        if let Some(c) = cache {
+            c.ensure(self.index.buckets.len());
         }
     }
-    if let Some(c) = cache {
-        c.ensure(index.buckets.len());
+
+    /// Answers a pick on a queue of at most one request without the ring
+    /// walk: with a single candidate the winner is the same under any
+    /// score, so no positioning time is computed. Returns `None` when two
+    /// or more requests are pending and the pruned scan must run.
+    ///
+    /// A lone arrival still in the inbox is popped without ever entering
+    /// the index. A lone indexed request is found with one bitmap scan; its
+    /// bucket is resolved and counted exactly as the scan would (a cache
+    /// hit when the slot is still valid at this rest state — the
+    /// queue-timeout re-pick — otherwise one candidate examined).
+    fn shallow_pick<O: PositionOracle + ?Sized>(
+        &mut self,
+        cache: Option<&mut PickCache>,
+        device: &O,
+        now: SimTime,
+    ) -> Option<Option<(u64, Request)>> {
+        match self.len {
+            0 => return Some(None),
+            1 => {}
+            _ => return None,
+        }
+        let entry = match self.inbox.pop() {
+            Some(entry) => {
+                self.counters.candidates_examined += 1;
+                entry
+            }
+            None => {
+                let bucket = self
+                    .index
+                    .next_occupied(0)
+                    .expect("lone request is indexed");
+                let mut hit = false;
+                if let Some(c) = cache {
+                    c.sync_key(device.rest_key(now));
+                    hit = c.slots[bucket].gen == c.gen;
+                    c.invalidate_bucket(bucket);
+                }
+                if hit {
+                    self.counters.cached_best_hits += 1;
+                } else {
+                    self.counters.candidates_examined += 1;
+                }
+                self.index.remove(bucket, 0)
+            }
+        };
+        self.counters.picks += 1;
+        self.len -= 1;
+        Some(Some(entry))
+    }
+
+    /// Removes the scan's winner, entry `idx` of `bucket`.
+    fn take(&mut self, bucket: usize, idx: usize) -> (u64, Request) {
+        self.counters.picks += 1;
+        self.len -= 1;
+        self.index.remove(bucket, idx)
     }
 }
 
@@ -511,14 +606,8 @@ fn index_arrivals_flat<O: PositionOracle + ?Sized>(
 /// ```
 #[derive(Debug, Default)]
 pub struct SptfScheduler {
-    /// Arrivals not yet bucketed (bucketing needs the device, which
-    /// `enqueue` does not see).
-    inbox: Vec<(u64, Request)>,
-    index: FlatIndex,
+    queue: FlatQueue,
     cache: PickCache,
-    len: usize,
-    next_seq: u64,
-    counters: SchedCounters,
 }
 
 impl SptfScheduler {
@@ -534,41 +623,35 @@ impl Scheduler for SptfScheduler {
     }
 
     fn enqueue(&mut self, req: Request) {
-        self.inbox.push((self.next_seq, req));
-        self.next_seq += 1;
-        self.len += 1;
+        self.queue.enqueue(req);
     }
 
     fn pick<O: PositionOracle + ?Sized>(&mut self, device: &O, now: SimTime) -> Option<Request> {
-        index_arrivals_flat(
-            &mut self.inbox,
-            &mut self.index,
-            Some(&mut self.cache),
-            device,
-        );
+        if let Some(shallow) = self.queue.shallow_pick(Some(&mut self.cache), device, now) {
+            return shallow.map(|(_, req)| req);
+        }
+        self.queue.index_arrivals(Some(&mut self.cache), device);
         self.cache.sync_key(device.rest_key(now));
         let (bucket, idx) = pruned_best_flat(
-            &self.index,
+            &self.queue.index,
             Some(&mut self.cache),
             device,
             now,
             |_, t| t,
             0.0,
-            &mut self.counters,
+            &mut self.queue.counters,
         )?;
-        self.counters.picks += 1;
-        self.len -= 1;
         let bucket = bucket as usize;
         self.cache.invalidate_bucket(bucket);
-        Some(self.index.remove(bucket, idx).1)
+        Some(self.queue.take(bucket, idx).1)
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.queue.len
     }
 
     fn counters(&self) -> SchedCounters {
-        self.counters
+        self.queue.counters
     }
 }
 
@@ -695,16 +778,12 @@ impl Scheduler for NaiveSptfScheduler {
 /// the per-bucket winner cache does not apply.
 #[derive(Debug)]
 pub struct AgedSptfScheduler {
-    inbox: Vec<(u64, Request)>,
-    index: FlatIndex,
+    queue: FlatQueue,
     /// `(arrival, seq)` of every pending request; the first entry gives
     /// the oldest wait, hence the largest possible age credit.
     arrivals: BTreeSet<(SimTime, u64)>,
-    len: usize,
-    next_seq: u64,
     weight: f64,
     name: String,
-    counters: SchedCounters,
 }
 
 impl AgedSptfScheduler {
@@ -716,14 +795,10 @@ impl AgedSptfScheduler {
     pub fn new(weight: f64) -> Self {
         assert!(weight.is_finite() && weight >= 0.0, "weight must be >= 0");
         AgedSptfScheduler {
-            inbox: Vec::new(),
-            index: FlatIndex::default(),
+            queue: FlatQueue::default(),
             arrivals: BTreeSet::new(),
-            len: 0,
-            next_seq: 0,
             weight,
             name: format!("SPTF-aged({weight})"),
-            counters: SchedCounters::default(),
         }
     }
 }
@@ -734,14 +809,17 @@ impl Scheduler for AgedSptfScheduler {
     }
 
     fn enqueue(&mut self, req: Request) {
-        self.arrivals.insert((req.arrival, self.next_seq));
-        self.inbox.push((self.next_seq, req));
-        self.next_seq += 1;
-        self.len += 1;
+        let seq = self.queue.enqueue(req);
+        self.arrivals.insert((req.arrival, seq));
     }
 
     fn pick<O: PositionOracle + ?Sized>(&mut self, device: &O, now: SimTime) -> Option<Request> {
-        index_arrivals_flat(&mut self.inbox, &mut self.index, None, device);
+        if let Some(shallow) = self.queue.shallow_pick(None, device, now) {
+            let (seq, req) = shallow?;
+            self.arrivals.remove(&(req.arrival, seq));
+            return Some(req);
+        }
+        self.queue.index_arrivals(None, device);
         let credit_bound = match self.arrivals.first() {
             Some(&(oldest, _)) => self.weight * (now - oldest).as_secs().max(0.0),
             None => return None,
@@ -752,27 +830,25 @@ impl Scheduler for AgedSptfScheduler {
             t - weight * wait
         };
         let (bucket, idx) = pruned_best_flat(
-            &self.index,
+            &self.queue.index,
             None,
             device,
             now,
             score,
             credit_bound,
-            &mut self.counters,
+            &mut self.queue.counters,
         )?;
-        self.counters.picks += 1;
-        let (seq, req) = self.index.remove(bucket as usize, idx);
+        let (seq, req) = self.queue.take(bucket as usize, idx);
         self.arrivals.remove(&(req.arrival, seq));
-        self.len -= 1;
         Some(req)
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.queue.len
     }
 
     fn counters(&self) -> SchedCounters {
-        self.counters
+        self.queue.counters
     }
 }
 
@@ -1120,6 +1196,165 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Drives a production scheduler and a reference through arrival
+    /// patterns that keep the queue at most two deep, so nearly every pick
+    /// takes the shallow path: a lone arrival then a pick (lone from the
+    /// inbox); two arrivals then two picks (the second is lone from the
+    /// index); a pick on an empty queue; and a pick whose request is
+    /// dropped unserviced followed by a re-pick at the same `now` (the
+    /// queue-timeout re-pick, the one path where cache slots stay valid).
+    /// Asserts identical picks, and that a pick at depth ≤ 1 resolves
+    /// exactly one candidate (examined, or a cache hit) or none when
+    /// empty. The opening rounds never exceed depth 1, so there
+    /// `candidates_examined == picks` on both sides.
+    fn assert_shallow_pick_equivalence<P: Scheduler, N: Scheduler>(
+        mut fast: P,
+        mut reference: N,
+        seed: u64,
+        use_table: bool,
+    ) {
+        let mut dev_f = MemsDevice::new(MemsParams::default()).with_seek_table(use_table);
+        let mut dev_r = MemsDevice::new(MemsParams::default()).with_seek_table(use_table);
+        let mut next_lbn = lbn_stream(seed, dev_f.capacity_lbns());
+        let mut id = 0u64;
+        let mut now = SimTime::ZERO;
+        const LONE_ROUNDS: u64 = 40;
+        for round in 0..200u64 {
+            if round == LONE_ROUNDS {
+                for c in [fast.counters(), reference.counters()] {
+                    assert_eq!(c.candidates_examined, c.picks, "depth <= 1 (seed {seed})");
+                    assert_eq!(c.cached_best_hits, 0);
+                }
+                assert!(fast.counters().picks > 0);
+            }
+            let (arrivals, picks, drop_first) = if round < LONE_ROUNDS {
+                [(1, 1, false), (0, 1, false), (1, 2, true)][(round % 3) as usize]
+            } else {
+                [(1, 1, false), (2, 2, false), (0, 1, false), (2, 2, true)][(round % 4) as usize]
+            };
+            for _ in 0..arrivals {
+                let r = Request::new(id, now, next_lbn(), 8, IoKind::Read);
+                fast.enqueue(r);
+                reference.enqueue(r);
+                id += 1;
+            }
+            for p in 0..picks {
+                let depth = fast.len();
+                assert_eq!(depth, reference.len());
+                let (cf, cr) = (fast.counters(), reference.counters());
+                let (a, b) = (fast.pick(&dev_f, now), reference.pick(&dev_r, now));
+                if depth <= 1 {
+                    let want = u64::from(a.is_some());
+                    let (df, dr) = (fast.counters(), reference.counters());
+                    assert_eq!(
+                        df.candidates_examined + df.cached_best_hits
+                            - cf.candidates_examined
+                            - cf.cached_best_hits,
+                        want
+                    );
+                    assert_eq!(dr.candidates_examined - cr.candidates_examined, want);
+                    assert_eq!((df.picks - cf.picks, dr.picks - cr.picks), (want, want));
+                }
+                match (a, b) {
+                    // Dropped unserviced: the device stays put and the
+                    // next pick runs from the same rest state and `now`.
+                    (Some(a), Some(b)) if drop_first && p == 0 => {
+                        assert_eq!(a.id, b.id, "pick diverged at t={now:?} (seed {seed})");
+                    }
+                    (Some(a), Some(b)) => {
+                        assert_eq!(a.id, b.id, "pick diverged at t={now:?} (seed {seed})");
+                        let done_f = now + dev_f.service(&a, now).total_time();
+                        let done_r = now + dev_r.service(&b, now).total_time();
+                        assert_eq!(done_f, done_r);
+                        now = done_f;
+                    }
+                    (None, None) => {}
+                    (a, b) => panic!("queue length diverged: {a:?} vs {b:?}"),
+                }
+            }
+            // Idle gap before the next round's arrivals.
+            now += SimTime::from_secs(1e-3);
+        }
+        assert!(fast.is_empty() && reference.is_empty());
+    }
+
+    #[test]
+    fn shallow_picks_match_references_across_seeds() {
+        for seed in [1u64, 0xDEAD_BEEF, 0x5EED_0006] {
+            for use_table in [true, false] {
+                assert_shallow_pick_equivalence(
+                    SptfScheduler::new(),
+                    NaiveSptfScheduler::new(),
+                    seed,
+                    use_table,
+                );
+            }
+            assert_shallow_pick_equivalence(
+                SptfScheduler::new(),
+                RescanSptfScheduler::new(),
+                seed,
+                true,
+            );
+            for weight in [0.5, 3.0] {
+                assert_shallow_pick_equivalence(
+                    AgedSptfScheduler::new(weight),
+                    NaiveAgedSptfScheduler::new(weight),
+                    seed,
+                    true,
+                );
+                assert_shallow_pick_equivalence(
+                    AgedSptfScheduler::new(weight),
+                    RescanAgedSptfScheduler::new(weight),
+                    seed,
+                    true,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lone_re_pick_from_unchanged_rest_state_hits_the_cache() {
+        // Two requests in adjacent cylinders next to the sled: the first
+        // pick scores both buckets and caches them. Dropping its winner
+        // unserviced leaves one indexed request whose slot is still valid,
+        // so the re-pick counts a cache hit, as the full scan would.
+        let dev = MemsDevice::new(MemsParams::default());
+        let mut s = SptfScheduler::new();
+        s.enqueue(req(0, 1250 * 2700));
+        s.enqueue(req(1, 1251 * 2700));
+        let first = s.pick(&dev, SimTime::ZERO).unwrap();
+        let c = s.counters();
+        assert_eq!(
+            (c.picks, c.candidates_examined, c.cached_best_hits),
+            (1, 2, 0)
+        );
+        let second = s.pick(&dev, SimTime::ZERO).unwrap();
+        assert_ne!(first.id, second.id);
+        let c = s.counters();
+        assert_eq!(
+            (c.picks, c.candidates_examined, c.cached_best_hits),
+            (2, 2, 1)
+        );
+        assert!(s.pick(&dev, SimTime::ZERO).is_none());
+        assert_eq!(s.counters(), c, "an empty pick counts nothing");
+    }
+
+    #[test]
+    fn aged_lone_picks_drop_their_arrival() {
+        // A stale `(arrival, seq)` would only loosen the age-credit bound,
+        // which no pick comparison can see; check the set directly.
+        let dev = MemsDevice::new(MemsParams::default());
+        let mut aged = AgedSptfScheduler::new(1.0);
+        aged.enqueue(req(0, 0));
+        assert_eq!(aged.pick(&dev, SimTime::ZERO).unwrap().id, 0);
+        aged.enqueue(req(1, 1250 * 2700));
+        aged.enqueue(req(2, 2499 * 2700));
+        assert!(aged.pick(&dev, SimTime::ZERO).is_some());
+        assert_eq!(aged.arrivals.len(), 1);
+        assert!(aged.pick(&dev, SimTime::ZERO).is_some());
+        assert!(aged.arrivals.is_empty() && aged.is_empty());
     }
 
     #[test]

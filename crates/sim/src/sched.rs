@@ -22,6 +22,11 @@ pub struct SchedCounters {
     /// Successful picks (calls to `pick` that returned a request).
     pub picks: u64,
     /// Candidates whose exact positioning time (or score) was evaluated.
+    /// The lone candidate of a one-request queue counts as examined even
+    /// though a shallow-queue pick skips computing its positioning time
+    /// (with one candidate the choice does not depend on it), unless its
+    /// bucket's cached winner is still valid, which counts in
+    /// `cached_best_hits` exactly as the full scan would count it.
     pub candidates_examined: u64,
     /// Whole buckets skipped by a lower-bound prune (pruned SPTF only).
     pub buckets_pruned: u64,

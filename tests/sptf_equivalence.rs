@@ -11,7 +11,7 @@ use mems_os::sched::{
     AgedSptfScheduler, Algorithm, NaiveAgedSptfScheduler, NaiveSptfScheduler,
     RescanAgedSptfScheduler, RescanSptfScheduler, SptfScheduler,
 };
-use storage_sim::{Driver, Scheduler, SimReport, StorageDevice, Workload};
+use storage_sim::{Driver, RingTracer, Scheduler, SimReport, StorageDevice, Workload};
 use storage_trace::RandomWorkload;
 
 const CAPACITY: u64 = 6_750_000;
@@ -155,6 +155,75 @@ fn pruned_sptf_reports_match_naive_scan_on_disk() {
             .run();
         assert_reports_identical(&pruned, &naive, &format!("disk SPTF seed {seed}"));
     }
+}
+
+/// Runs one traced cell, returning the report and the mean queue depth
+/// seen at each pick.
+fn run_traced<W: Workload, S: Scheduler, D: StorageDevice>(
+    workload: W,
+    scheduler: S,
+    device: D,
+) -> (SimReport, f64) {
+    let mut driver = Driver::new(workload, scheduler, device)
+        .warmup_requests(200)
+        .record_completions(true)
+        .with_tracer(RingTracer::new(16));
+    let report = driver.run();
+    let c = driver.tracer().counters();
+    (report, c.pick_depth_sum as f64 / c.picks as f64)
+}
+
+/// Low-rate cells where most picks find one queued request or none, so
+/// the production schedulers answer them from the shallow-queue path
+/// while the references run their full scans.
+fn assert_shallow_cells_match<D: StorageDevice>(
+    device: impl Fn() -> D,
+    rate: f64,
+    seeds: [u64; 2],
+    what: &str,
+) {
+    let capacity = device().capacity_lbns();
+    for seed in seeds {
+        let wl = || RandomWorkload::paper(capacity, rate, 1500, seed);
+        let what = format!("{what} seed {seed}");
+        let (fast, depth) = run_traced(wl(), SptfScheduler::new(), device());
+        assert!(
+            depth < 1.5,
+            "{what}: mean pick depth {depth} is not shallow"
+        );
+        let (naive, _) = run_traced(wl(), NaiveSptfScheduler::new(), device());
+        let (rescan, _) = run_traced(wl(), RescanSptfScheduler::new(), device());
+        assert_reports_identical(&fast, &naive, &format!("{what}: SPTF vs naive"));
+        assert_reports_identical(&fast, &rescan, &format!("{what}: SPTF vs rescan"));
+        let (fast, _) = run_traced(wl(), AgedSptfScheduler::new(2.0), device());
+        let (naive, _) = run_traced(wl(), NaiveAgedSptfScheduler::new(2.0), device());
+        let (rescan, _) = run_traced(wl(), RescanAgedSptfScheduler::new(2.0), device());
+        assert_reports_identical(&fast, &naive, &format!("{what}: aged vs naive"));
+        assert_reports_identical(&fast, &rescan, &format!("{what}: aged vs rescan"));
+    }
+}
+
+#[test]
+fn shallow_queue_reports_match_references_on_mems() {
+    assert_shallow_cells_match(
+        || MemsDevice::new(MemsParams::default()),
+        300.0,
+        [0x5EED_0006, 17],
+        "MEMS 300 req/s",
+    );
+}
+
+#[test]
+fn shallow_queue_reports_match_references_on_disk() {
+    // The Atlas 10K saturates near 220 req/s under SPTF; 60 req/s keeps
+    // its queue as shallow as 300 req/s keeps the MEMS device's.
+    use atlas_disk::{DiskDevice, DiskParams};
+    assert_shallow_cells_match(
+        || DiskDevice::new(DiskParams::quantum_atlas_10k()),
+        60.0,
+        [3, 0xD15C],
+        "disk 60 req/s",
+    );
 }
 
 #[test]
