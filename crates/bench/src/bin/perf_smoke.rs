@@ -41,7 +41,8 @@
 //! Run from the workspace root: `cargo run --release -p mems-bench --bin
 //! perf_smoke` (pass a request count to override the default 4000; pass
 //! `--streaming-requests N` to resize the streaming cells — the weekly
-//! long-horizon job passes 100000000).
+//! long-horizon job passes 100000000). A missing, non-numeric or zero
+//! count exits 2 with the usage.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -344,19 +345,50 @@ fn streaming_identity_gate() -> bool {
     driver_ok && fleet_ok
 }
 
+fn usage() -> ! {
+    eprintln!("usage: perf_smoke [REQUESTS] [--streaming-requests N]");
+    std::process::exit(2);
+}
+
+/// Parses `raw` as a positive request count for `what`, or prints a
+/// one-line error plus the usage and exits 2.
+fn request_count(what: &str, raw: Option<String>) -> u64 {
+    let Some(raw) = raw else {
+        eprintln!("missing value for {what}");
+        usage()
+    };
+    match raw.parse::<u64>() {
+        Ok(n) if n > 0 => n,
+        _ => {
+            eprintln!("invalid {what} {raw}: must be a positive integer");
+            usage()
+        }
+    }
+}
+
+/// Parses the command line: `(requests, streaming requests)`.
+fn parse_args() -> (u64, u64) {
+    let (mut requests, mut stream_requests) = (None, 10_000_000);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--streaming-requests" => {
+                stream_requests = request_count("--streaming-requests", args.next());
+            }
+            _ if requests.is_none() && !arg.starts_with("--") => {
+                requests = Some(request_count("request count", Some(arg)));
+            }
+            _ => {
+                eprintln!("unexpected argument {arg}");
+                usage()
+            }
+        }
+    }
+    (requests.unwrap_or(4000), stream_requests)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let requests: u64 = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4000);
-    let stream_requests: u64 = args
-        .iter()
-        .position(|a| a == "--streaming-requests")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000_000);
+    let (requests, stream_requests) = parse_args();
     // Keep some measured requests even for tiny runs, or the reported
     // means are silently computed over zero completions.
     let warmup = WARMUP.min(requests / 2);
@@ -506,7 +538,7 @@ fn main() {
     );
     if !realloc_free {
         eprintln!(
-            "warning: event queue restructured mid-run (fig6 {}, high-rate {}) — pre-sizing failed",
+            "warning: event queue restructured mid-run (fig6 {}, high-rate {})",
             fig6_cell.restructures, high_cell.restructures
         );
     }

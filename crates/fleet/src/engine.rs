@@ -15,10 +15,11 @@
 //! Fleet results are bit-identical for any shard count, worker-thread
 //! count, and barrier (epoch) width:
 //!
-//! * routing happens at setup time, so station timelines are **causally
-//!   independent** — no station's events depend on another station's
-//!   runtime state, and each station's event sequence is exactly what a
-//!   standalone [`Driver::run`] would produce;
+//! * routing is a pure function of the request stream, so station
+//!   timelines are **causally independent** — no station's events depend
+//!   on another station's runtime state, and each station's event
+//!   sequence is exactly what a standalone [`Driver::run`] over its
+//!   routed sub-I/Os would produce;
 //! * the merge orders completions by `(completion time, station index,
 //!   station drain order)`, a total order independent of which shard or
 //!   thread produced them;
@@ -105,8 +106,8 @@ pub struct FleetReport {
     pub fault_events: u64,
     /// Largest scheduler queue depth seen at any station.
     pub max_station_queue_depth: usize,
-    /// Event-queue restructures summed over stations; the routed
-    /// per-station `len_hint` pre-sizing keeps this at zero.
+    /// Event-queue restructures summed over stations; each station has at
+    /// most three events pending, so this stays zero.
     pub station_restructures: u64,
     /// Each station's own [`SimReport`], in station order.
     pub stations: Vec<SimReport>,
@@ -230,14 +231,13 @@ const REFILL_TARGET: usize = 64;
 /// and parks the resulting sub-I/Os in per-station ring buffers until
 /// the owning station's feed asks for them.
 ///
-/// Per-station sub sequences are exactly the materialized path's: the
-/// router emits subs in fleet order (= arrival order), and a station's
-/// ring preserves it, so a streaming fleet is bit-identical to a
-/// materialized one by construction. Ring occupancy is bounded by
-/// routing skew (how many fleet requests must be pulled before the
-/// asking station sees one of its own) plus the refill batch — constant
-/// for stripe/mirror/parity volumes, where every station appears in
-/// every few requests.
+/// The router emits subs in fleet order (= arrival order), and a
+/// station's ring preserves it, so every station sees its subs in exactly
+/// the order routing the whole request list up front would give. Ring
+/// occupancy is bounded by routing skew (how many fleet requests must be
+/// pulled before the asking station sees one of its own) plus the refill
+/// batch — constant for stripe/mirror/parity volumes, where every station
+/// appears in every few requests.
 struct Splitter<W: Workload> {
     workload: W,
     volume: VolumeSpec,
@@ -245,8 +245,6 @@ struct Splitter<W: Workload> {
     /// `(expected subs, arrival)` per fleet id, dense in id order, drained
     /// by the merge loop into the assembler each barrier.
     meta: Vec<(u32, SimTime)>,
-    /// Sub-I/Os routed to each station so far.
-    routed: Vec<u64>,
     subs: Vec<SubIo>,
     next_id: u64,
     foreground: u64,
@@ -260,7 +258,6 @@ impl<W: Workload> Splitter<W> {
             volume,
             rings: vec![VecDeque::new(); stations],
             meta: Vec::new(),
-            routed: vec![0; stations],
             subs: Vec::new(),
             next_id: 0,
             foreground,
@@ -292,7 +289,6 @@ impl<W: Workload> Splitter<W> {
             self.volume.route(&req, &mut self.subs);
             self.meta.push((self.subs.len() as u32, req.arrival));
             for sub in &self.subs {
-                self.routed[sub.station] += 1;
                 let r = Request::new(req.id, req.arrival, sub.lbn, sub.sectors, sub.kind);
                 if sub.station == station {
                     local.push_back(r);
@@ -308,57 +304,30 @@ impl<W: Workload> Splitter<W> {
     }
 }
 
-/// A station driver's request source: either its fully materialized
-/// routed workload, or a buffered tap on the shared [`Splitter`] merged
-/// with the station's (materialized, small) background stream.
-enum StationFeed<W: Workload> {
-    /// Materialized per-station workload (foreground and background
-    /// merged and sorted up front).
-    Ready(VecWorkload),
-    /// Streaming tap: foreground subs pulled from the splitter on dry,
-    /// merged with the background queue by arrival (foreground wins
-    /// ties, matching the materialized path's stable sort).
-    Routed {
-        station: usize,
-        local: VecDeque<Request>,
-        background: VecDeque<Request>,
-        splitter: Arc<Mutex<Splitter<W>>>,
-    },
+/// A station driver's request source: a buffered tap on the shared
+/// [`Splitter`], merged by arrival with the station's (small, sorted)
+/// background stream. Foreground wins arrival ties, so background work
+/// queues behind foreground subs that arrive at the same instant.
+struct StationFeed<W: Workload> {
+    station: usize,
+    local: VecDeque<Request>,
+    background: VecDeque<Request>,
+    splitter: Arc<Mutex<Splitter<W>>>,
 }
 
 impl<W: Workload> Workload for StationFeed<W> {
     fn next_request(&mut self) -> Option<Request> {
-        match self {
-            StationFeed::Ready(v) => v.next_request(),
-            StationFeed::Routed {
-                station,
-                local,
-                background,
-                splitter,
-            } => {
-                if local.is_empty() {
-                    splitter
-                        .lock()
-                        .expect("splitter lock poisoned")
-                        .refill(*station, local);
-                }
-                match (local.front(), background.front()) {
-                    (Some(f), Some(b)) if b.arrival < f.arrival => background.pop_front(),
-                    (Some(_), _) => local.pop_front(),
-                    (None, Some(_)) => background.pop_front(),
-                    (None, None) => None,
-                }
-            }
+        if self.local.is_empty() {
+            self.splitter
+                .lock()
+                .expect("splitter lock poisoned")
+                .refill(self.station, &mut self.local);
         }
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        match self {
-            StationFeed::Ready(v) => v.len_hint(),
-            // Routed counts are discovered as the run streams; `None` is
-            // always safe for the driver's (tiny, chain-bounded) event
-            // queue pre-sizing, so restructures stay at zero either way.
-            StationFeed::Routed { .. } => None,
+        match (self.local.front(), self.background.front()) {
+            (Some(f), Some(b)) if b.arrival < f.arrival => self.background.pop_front(),
+            (Some(_), _) => self.local.pop_front(),
+            (None, Some(_)) => self.background.pop_front(),
+            (None, None) => None,
         }
     }
 }
@@ -375,11 +344,11 @@ struct Slot {
 /// completions, in the deterministic merged order.
 ///
 /// Foreground requests live in a sliding window keyed by dense fleet id:
-/// metadata is appended in id order (all at once for a materialized
-/// fleet, barrier by barrier for a streaming one) and fully assembled
-/// slots are reclaimed from the front, so memory tracks the number of
-/// requests in flight, not the run length. Background requests route to
-/// exactly one sub, so they bypass the window entirely.
+/// metadata is appended in id order, barrier by barrier as the splitter
+/// routes, and fully assembled slots are reclaimed from the front, so
+/// memory tracks the number of requests in flight, not the run length.
+/// Background requests route to exactly one sub, so they bypass the
+/// window entirely.
 struct Assembler {
     foreground: u64,
     bg_arrivals: Vec<SimTime>,
@@ -454,31 +423,13 @@ impl Assembler {
     }
 }
 
-/// Where a fleet's foreground requests come from.
-enum FleetSource<W: Workload> {
-    /// Routed up front into per-station vectors ([`FleetEngine::new`]).
-    Materialized {
-        workloads: Vec<Vec<Request>>,
-        expected: Vec<u32>,
-        arrivals: Vec<SimTime>,
-    },
-    /// Routed on demand through a shared [`Splitter`]
-    /// ([`FleetEngine::streaming`]). Background requests stay
-    /// materialized per station (they are few and explicit).
-    Streaming {
-        workload: W,
-        volume: VolumeSpec,
-        background: Vec<Vec<Request>>,
-    },
-}
-
 /// A sharded multi-station fleet simulation.
 ///
-/// Build one with [`FleetEngine::new`] (foreground requests routed
-/// through a [`VolumeSpec`] up front) or [`FleetEngine::streaming`]
-/// (requests pulled incrementally from any [`Workload`] — constant
-/// memory in the run length, bit-identical results), optionally attach
-/// per-station fault clocks and background streams, then
+/// Build one with [`FleetEngine::streaming`] (foreground requests pulled
+/// incrementally from any [`Workload`] and routed through a
+/// [`VolumeSpec`] on demand — constant memory in the run length) or with
+/// [`FleetEngine::new`], which streams a request slice the same way.
+/// Optionally attach per-station fault clocks and background streams, then
 /// [`FleetEngine::run`] it. To observe the run, attach per-station
 /// tracers with [`FleetEngine::with_station_tracers`] and use
 /// [`FleetEngine::run_instrumented`], which hands the tracers back next
@@ -494,7 +445,11 @@ pub struct FleetEngine<
     schedulers: Vec<S>,
     faults: Vec<FaultClock>,
     tracers: Vec<T>,
-    source: FleetSource<W>,
+    /// Fleet-level foreground requests, routed on demand by the splitter.
+    workload: W,
+    volume: VolumeSpec,
+    /// Background requests queued per station, bypassing volume routing.
+    background: Vec<Vec<Request>>,
     /// Foreground request count; background ids follow this block.
     foreground: u64,
     /// Arrival times of background requests, indexed by `id - foreground`.
@@ -616,9 +571,8 @@ impl<S: Scheduler, D: StorageDevice> FleetEngine<S, D> {
     /// space, ids dense from 0 in arrival order) through `volume` onto
     /// the stations and prepares one driver per device.
     ///
-    /// Per-station workloads are materialized up front, so each
-    /// station's `len_hint` is the *routed* per-station request count —
-    /// the calendar queues pre-size exactly and never restructure.
+    /// This is [`FleetEngine::streaming`] over a [`VecWorkload`] of the
+    /// requests: one engine path, whichever way the requests arrive.
     ///
     /// # Panics
     ///
@@ -627,63 +581,34 @@ impl<S: Scheduler, D: StorageDevice> FleetEngine<S, D> {
     /// for zero shards/threads or a non-positive epoch.
     pub fn new(
         devices: Vec<D>,
-        mut make_scheduler: impl FnMut(usize) -> S,
+        make_scheduler: impl FnMut(usize) -> S,
         volume: &VolumeSpec,
         requests: &[Request],
         config: FleetConfig,
     ) -> Self {
-        check_fleet_setup(devices.len(), volume, &config);
-
-        let n = devices.len();
-        let schedulers = (0..n).map(&mut make_scheduler).collect();
-        let mut workloads: Vec<Vec<Request>> = vec![Vec::new(); n];
-        let mut expected = Vec::with_capacity(requests.len());
-        let mut arrivals = Vec::with_capacity(requests.len());
-        let mut subs: Vec<SubIo> = Vec::new();
         for (i, req) in requests.iter().enumerate() {
             assert_eq!(
                 req.id, i as u64,
                 "fleet request ids must be dense 0..n in order"
             );
-            subs.clear();
-            volume.route(req, &mut subs);
-            expected.push(subs.len() as u32);
-            arrivals.push(req.arrival);
-            for sub in &subs {
-                workloads[sub.station].push(Request::new(
-                    req.id,
-                    req.arrival,
-                    sub.lbn,
-                    sub.sectors,
-                    sub.kind,
-                ));
-            }
         }
-
-        FleetEngine {
+        FleetEngine::streaming(
             devices,
-            schedulers,
-            faults: (0..n).map(|_| FaultClock::empty()).collect(),
-            tracers: (0..n).map(|_| NoopTracer).collect(),
-            source: FleetSource::Materialized {
-                workloads,
-                expected,
-                arrivals,
-            },
-            foreground: requests.len() as u64,
-            bg_arrivals: Vec::new(),
+            make_scheduler,
+            volume.clone(),
+            VecWorkload::new(requests.to_vec()),
             config,
-        }
+        )
     }
 }
 
 impl<S: Scheduler, D: StorageDevice, W: Workload> FleetEngine<S, D, NoopTracer, W> {
     /// Builds a fleet whose foreground requests are pulled incrementally
     /// from `workload` and routed through `volume` on demand — nothing is
-    /// materialized, so memory is constant in the run length while the
-    /// [`FleetReport`] stays bit-identical to [`FleetEngine::new`] over
-    /// the same request sequence, at every shard/thread split (gated by
-    /// the `streaming_equivalence` integration tests).
+    /// materialized, so memory is constant in the run length. Every
+    /// station's report is bit-identical to a standalone driver over its
+    /// routed sub-I/Os, at every shard/thread split (gated by the
+    /// `streaming_equivalence` integration tests).
     ///
     /// The workload must yield requests with ids dense from 0 in arrival
     /// order (every generator in `storage-trace` does) and must know its
@@ -692,8 +617,9 @@ impl<S: Scheduler, D: StorageDevice, W: Workload> FleetEngine<S, D, NoopTracer, 
     ///
     /// # Panics
     ///
-    /// Panics if `workload.len_hint()` is `None`, plus the same setup
-    /// checks as [`FleetEngine::new`].
+    /// Panics if `workload.len_hint()` is `None`, if the volume references
+    /// a station outside `devices`, or if the config asks for zero
+    /// shards/threads or a non-positive epoch.
     pub fn streaming(
         devices: Vec<D>,
         mut make_scheduler: impl FnMut(usize) -> S,
@@ -711,11 +637,9 @@ impl<S: Scheduler, D: StorageDevice, W: Workload> FleetEngine<S, D, NoopTracer, 
             schedulers: (0..n).map(&mut make_scheduler).collect(),
             faults: (0..n).map(|_| FaultClock::empty()).collect(),
             tracers: (0..n).map(|_| NoopTracer).collect(),
-            source: FleetSource::Streaming {
-                workload,
-                volume,
-                background: vec![Vec::new(); n],
-            },
+            workload,
+            volume,
+            background: vec![Vec::new(); n],
             foreground,
             bg_arrivals: Vec::new(),
             config,
@@ -740,7 +664,9 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
             schedulers: self.schedulers,
             faults: self.faults,
             tracers: (0..n).map(&mut make).collect(),
-            source: self.source,
+            workload: self.workload,
+            volume: self.volume,
+            background: self.background,
             foreground: self.foreground,
             bg_arrivals: self.bg_arrivals,
             config: self.config,
@@ -750,21 +676,6 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
     /// Number of stations.
     pub fn stations(&self) -> usize {
         self.devices.len()
-    }
-
-    /// Sub-I/Os routed to station `station`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a streaming fleet, where routed counts are discovered
-    /// as the run streams rather than known up front.
-    pub fn routed_len(&self, station: usize) -> usize {
-        match &self.source {
-            FleetSource::Materialized { workloads, .. } => workloads[station].len(),
-            FleetSource::Streaming { .. } => {
-                panic!("routed counts of a streaming fleet are only known after the run")
-            }
-        }
     }
 
     /// Attaches a fault clock to one station's device.
@@ -786,11 +697,7 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
     ) -> u64 {
         let id = self.foreground + self.bg_arrivals.len() as u64;
         self.bg_arrivals.push(at);
-        let req = Request::new(id, at, lbn, sectors, kind);
-        match &mut self.source {
-            FleetSource::Materialized { workloads, .. } => workloads[station].push(req),
-            FleetSource::Streaming { background, .. } => background[station].push(req),
-        }
+        self.background[station].push(Request::new(id, at, lbn, sectors, kind));
         id
     }
 
@@ -827,55 +734,27 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
         let mut profile = FleetProfile::new(config.shards.min(n).max(1));
 
         let mut assembler = Assembler::new(self.foreground, std::mem::take(&mut self.bg_arrivals));
-        let mut splitter: Option<Arc<Mutex<Splitter<W>>>> = None;
-        let feeds: Vec<StationFeed<W>> = match self.source {
-            FleetSource::Materialized {
-                mut workloads,
-                expected,
-                arrivals,
-            } => {
-                // Background pushes may land before already-queued
-                // foreground subs; per-station order must be by arrival.
-                // The sort is stable, so equal-arrival subs keep
-                // insertion (fleet) order.
-                for w in &mut workloads {
-                    w.sort_by_key(|r| r.arrival);
+        let splitter = Arc::new(Mutex::new(Splitter::new(
+            self.workload,
+            self.volume,
+            n,
+            self.foreground,
+        )));
+        let feeds = self
+            .background
+            .into_iter()
+            .enumerate()
+            .map(|(station, mut bg)| {
+                // Background pushes need not arrive in order; the sort is
+                // stable, so equal-arrival requests keep insertion order.
+                bg.sort_by_key(|r| r.arrival);
+                StationFeed {
+                    station,
+                    local: VecDeque::new(),
+                    background: VecDeque::from(bg),
+                    splitter: Arc::clone(&splitter),
                 }
-                for (e, a) in expected.into_iter().zip(arrivals) {
-                    assembler.push_meta(e, a);
-                }
-                workloads
-                    .into_iter()
-                    .map(|w| StationFeed::Ready(VecWorkload::new(w)))
-                    .collect()
-            }
-            FleetSource::Streaming {
-                workload,
-                volume,
-                mut background,
-            } => {
-                for b in &mut background {
-                    b.sort_by_key(|r| r.arrival);
-                }
-                let shared = Arc::new(Mutex::new(Splitter::new(
-                    workload,
-                    volume,
-                    n,
-                    self.foreground,
-                )));
-                splitter = Some(Arc::clone(&shared));
-                background
-                    .into_iter()
-                    .enumerate()
-                    .map(|(station, bg)| StationFeed::Routed {
-                        station,
-                        local: VecDeque::new(),
-                        background: VecDeque::from(bg),
-                        splitter: Arc::clone(&shared),
-                    })
-                    .collect()
-            }
-        };
+            });
 
         let mut cells: Vec<Cell<S, D, T, W>> = Vec::with_capacity(n);
         for (((device, scheduler), tracer), (feed, faults)) in self
@@ -883,7 +762,7 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
             .into_iter()
             .zip(self.schedulers)
             .zip(self.tracers)
-            .zip(feeds.into_iter().zip(self.faults))
+            .zip(feeds.zip(self.faults))
         {
             let mut driver = Driver::new(feed, scheduler, device)
                 .with_tracer(tracer)
@@ -947,16 +826,14 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
             profile.barriers += 1;
             let m0 = T::PROFILE.then(Instant::now);
 
-            // Streaming fleets discover request metadata as stations pull
-            // from the splitter; everything routed during this barrier
-            // interval is registered before its completions are fed (a
-            // sub completes only after it was routed, and routing happens
-            // strictly before the barrier's drain below).
-            if let Some(shared) = &splitter {
-                let metas = shared.lock().expect("splitter lock poisoned").take_meta();
-                for (e, a) in metas {
-                    assembler.push_meta(e, a);
-                }
+            // Request metadata is discovered as stations pull from the
+            // splitter; everything routed during this barrier interval is
+            // registered before its completions are fed (a sub completes
+            // only after it was routed, and routing happens strictly
+            // before the barrier's drain below).
+            let metas = splitter.lock().expect("splitter lock poisoned").take_meta();
+            for (e, a) in metas {
+                assembler.push_meta(e, a);
             }
 
             // Drain in station order, then impose the global order:

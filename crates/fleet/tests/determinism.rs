@@ -1,6 +1,7 @@
 //! The fleet determinism contract: bit-identical reports for any shard
 //! count, worker-thread count, and barrier width — including faulted and
-//! rebuild-under-load runs — plus the realloc-free pre-sizing guarantee.
+//! rebuild-under-load runs — plus the restructure-free event-queue
+//! guarantee.
 
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::fault::DegradedDevice;
@@ -57,7 +58,7 @@ fn digest_is_invariant_across_shards_and_threads() {
     assert!(baseline.completed > 0);
     assert_eq!(
         baseline.station_restructures, 0,
-        "routed len_hint pre-sizing must keep every calendar queue realloc-free"
+        "every station's calendar queue must stay restructure-free"
     );
     for (shards, threads) in [(4, 1), (4, 4), (16, 8), (16, 16)] {
         let run = striped_cell(shards, threads, 10.0);

@@ -7,27 +7,21 @@
 //! SPTF's positioning-time oracle gets consulted). One device, one
 //! outstanding request — the configuration used throughout the paper.
 //!
-//! The event loop is generic over two hot-path strategies, both proven
-//! observationally identical by the `perf_identity` integration tests:
-//!
-//! * the event queue ([`QueuePolicy`]): the calendar queue by default, or
-//!   the reference binary heap via [`crate::HeapQueuePolicy`];
-//! * in-flight request storage ([`RequestStore`]): a slab passing `u32`
-//!   slot handles through event payloads by default ([`SlabStore`]), or
-//!   moving the values themselves via [`crate::MoveStore`].
+//! Events live in the calendar [`EventQueue`]; in-flight requests and
+//! completions are parked in two [`Slab`]s, so event payloads are `u32`
+//! slot handles rather than whole request values.
 
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::time::Instant;
 
 use crate::device::{ServiceBreakdown, StorageDevice};
-use crate::event::{CalendarQueuePolicy, Event, QueuePolicy, SimQueue};
+use crate::event::EventQueue;
 use crate::fault::{FaultClock, FaultKind};
 use crate::overload::OverloadPolicy;
 use crate::profile::ProfScope;
 use crate::request::{Completion, Request};
 use crate::sched::{SchedCounters, Scheduler};
-use crate::slab::{RequestStore, SlabStore};
+use crate::slab::{Slab, SlotHandle};
 use crate::stats::{ResponseStats, Welford};
 use crate::time::SimTime;
 use crate::tracer::{NoopTracer, Tracer};
@@ -62,8 +56,9 @@ pub struct SimReport {
     /// Queued requests abandoned by the pick loop after aging past the
     /// overload policy's queue timeout; always zero without a policy.
     pub timed_out: u64,
-    /// Times the event queue had to restructure mid-run (heap reallocation
-    /// or calendar rebuild); zero means the driver's pre-sizing held.
+    /// Times the calendar event queue rebuilt its ring mid-run. At most
+    /// three events are ever pending, so the minimum ring holds and this
+    /// stays zero.
     pub event_queue_restructures: u64,
     /// Every completion, in completion order (only if recording was enabled).
     pub completions: Option<Vec<Completion>>,
@@ -86,12 +81,11 @@ impl SimReport {
     }
 }
 
-/// Event payload, generic over the store's handle types: a [`SlabStore`]
-/// run moves 4-byte slot handles through the queue, a [`crate::MoveStore`]
-/// run moves the request/completion values themselves.
-enum Ev<A, C> {
-    Arrival(A),
-    Complete(C),
+/// Event payload: arrivals and completions carry slot handles into the
+/// driver's slabs; faults carry their (small, `Copy`) kind directly.
+enum Ev {
+    Arrival(SlotHandle),
+    Complete(SlotHandle),
     Fault(FaultKind),
 }
 
@@ -104,8 +98,8 @@ enum Ev<A, C> {
 /// between barriers with [`RunState::drain_completions`]. The fields are
 /// exactly the locals of the pre-session one-shot loop, so stepped runs
 /// and [`Driver::run`] share one code path and one result.
-pub struct RunState<Q: QueuePolicy = CalendarQueuePolicy, R: RequestStore = SlabStore> {
-    events: Q::Queue<Ev<R::ArrivalHandle, R::CompletionHandle>>,
+pub struct RunState {
+    events: EventQueue<Ev>,
     report: SimReport,
     device_busy: bool,
     completed_total: u64,
@@ -128,7 +122,7 @@ pub struct RunState<Q: QueuePolicy = CalendarQueuePolicy, R: RequestStore = Slab
     event_count: u64,
 }
 
-impl<Q: QueuePolicy, R: RequestStore> RunState<Q, R> {
+impl RunState {
     /// Number of events still pending in the queue. Zero means the run is
     /// over: nothing is in flight and the workload chain has ended.
     pub fn pending_events(&self) -> usize {
@@ -153,32 +147,17 @@ impl<Q: QueuePolicy, R: RequestStore> RunState<Q, R> {
     }
 }
 
-/// Pushes with the event-queue scope timer (compiled out unless the tracer
-/// profiles). Free function so the tracer and queue borrows stay disjoint.
-fn push_timed<T: Tracer, P, Q: SimQueue<P>>(
-    tracer: &mut T,
-    events: &mut Q,
-    at: SimTime,
-    payload: P,
-) {
+/// Runs `f` under the `scope` timer. The timer is compiled out unless the
+/// tracer profiles, leaving a plain call. Free function so the tracer
+/// borrow stays disjoint from whatever `f` touches.
+fn timed<T: Tracer, R>(tracer: &mut T, scope: ProfScope, f: impl FnOnce() -> R) -> R {
     if T::PROFILE {
         let t0 = Instant::now();
-        events.push(at, payload);
-        tracer.on_scope(ProfScope::EventPush, t0.elapsed().as_nanos() as u64);
+        let out = f();
+        tracer.on_scope(scope, t0.elapsed().as_nanos() as u64);
+        out
     } else {
-        events.push(at, payload);
-    }
-}
-
-/// Pops with the event-queue scope timer (compiled out unless profiling).
-fn pop_timed<T: Tracer, P, Q: SimQueue<P>>(tracer: &mut T, events: &mut Q) -> Option<Event<P>> {
-    if T::PROFILE {
-        let t0 = Instant::now();
-        let popped = events.pop();
-        tracer.on_scope(ProfScope::EventPop, t0.elapsed().as_nanos() as u64);
-        popped
-    } else {
-        events.pop()
+        f()
     }
 }
 
@@ -188,11 +167,7 @@ fn pop_timed<T: Tracer, P, Q: SimQueue<P>>(tracer: &mut T, events: &mut Q) -> Op
 /// The driver is generic over a [`Tracer`]; the default [`NoopTracer`]
 /// compiles every observation hook to nothing, so an untraced driver is
 /// exactly the pre-observability driver (asserted bit-identical by test).
-/// Attach a recording tracer with [`Driver::with_tracer`]. The queue and
-/// request-store strategies default to the fast paths (calendar queue,
-/// slab handles); swap them with [`Driver::with_queue_policy`] and
-/// [`Driver::with_request_store`] — every combination produces the same
-/// [`SimReport`] bit for bit.
+/// Attach a recording tracer with [`Driver::with_tracer`].
 ///
 /// # Examples
 ///
@@ -213,102 +188,60 @@ fn pop_timed<T: Tracer, P, Q: SimQueue<P>>(tracer: &mut T, events: &mut Q) -> Op
 /// // Second request queues behind the first: responses are 1 ms and 2 ms.
 /// assert!((report.response.mean_ms() - 1.5).abs() < 1e-9);
 /// ```
-pub struct Driver<W, S, D, T = NoopTracer, Q = CalendarQueuePolicy, R = SlabStore> {
+pub struct Driver<W, S, D, T = NoopTracer> {
     workload: W,
     scheduler: S,
     device: D,
     tracer: T,
-    store: R,
+    arrivals: Slab<Request>,
+    completions: Slab<Completion>,
     faults: FaultClock,
     warmup_requests: u64,
     record_completions: bool,
     overload: Option<OverloadPolicy>,
     lookahead: usize,
     streaming_stats: bool,
-    _queue: PhantomData<Q>,
 }
 
 impl<W: Workload, S: Scheduler, D: StorageDevice> Driver<W, S, D> {
     /// Creates an untraced driver with no warm-up exclusion and completion
-    /// recording disabled, using the default calendar queue and slab store.
+    /// recording disabled.
     pub fn new(workload: W, scheduler: S, device: D) -> Self {
         Driver {
             workload,
             scheduler,
             device,
             tracer: NoopTracer,
-            store: SlabStore::new(),
+            arrivals: Slab::with_capacity(4),
+            completions: Slab::with_capacity(4),
             faults: FaultClock::empty(),
             warmup_requests: 0,
             record_completions: false,
             overload: None,
             lookahead: 1,
             streaming_stats: false,
-            _queue: PhantomData,
         }
     }
 }
 
-impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: RequestStore>
-    Driver<W, S, D, T, Q, R>
-{
+impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> {
     /// Replaces the tracer, rebinding the driver to the new tracer type.
     /// Typically called right after [`Driver::new`] to attach a
     /// [`crate::RingTracer`].
-    pub fn with_tracer<T2: Tracer>(self, tracer: T2) -> Driver<W, S, D, T2, Q, R> {
+    pub fn with_tracer<T2: Tracer>(self, tracer: T2) -> Driver<W, S, D, T2> {
         Driver {
             workload: self.workload,
             scheduler: self.scheduler,
             device: self.device,
             tracer,
-            store: self.store,
+            arrivals: self.arrivals,
+            completions: self.completions,
             faults: self.faults,
             warmup_requests: self.warmup_requests,
             record_completions: self.record_completions,
             overload: self.overload,
             lookahead: self.lookahead,
             streaming_stats: self.streaming_stats,
-            _queue: PhantomData,
-        }
-    }
-
-    /// Selects the event-queue implementation (see [`QueuePolicy`]). The
-    /// default calendar queue and the [`crate::HeapQueuePolicy`] reference
-    /// produce bit-identical reports; the policy only changes wall-clock.
-    pub fn with_queue_policy<Q2: QueuePolicy>(self) -> Driver<W, S, D, T, Q2, R> {
-        Driver {
-            workload: self.workload,
-            scheduler: self.scheduler,
-            device: self.device,
-            tracer: self.tracer,
-            store: self.store,
-            faults: self.faults,
-            warmup_requests: self.warmup_requests,
-            record_completions: self.record_completions,
-            overload: self.overload,
-            lookahead: self.lookahead,
-            streaming_stats: self.streaming_stats,
-            _queue: PhantomData,
-        }
-    }
-
-    /// Selects the in-flight request storage strategy (see
-    /// [`RequestStore`]). The default [`SlabStore`] and the
-    /// [`crate::MoveStore`] reference produce bit-identical reports.
-    pub fn with_request_store<R2: RequestStore>(self) -> Driver<W, S, D, T, Q, R2> {
-        Driver {
-            workload: self.workload,
-            scheduler: self.scheduler,
-            device: self.device,
-            tracer: self.tracer,
-            store: R2::new(),
-            faults: self.faults,
-            warmup_requests: self.warmup_requests,
-            record_completions: self.record_completions,
-            overload: self.overload,
-            lookahead: self.lookahead,
-            streaming_stats: self.streaming_stats,
-            _queue: PhantomData,
         }
     }
 
@@ -395,58 +328,6 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
         (self.tracer, self.device)
     }
 
-    /// Parks an arriving request in the store (slab-alloc scope timed).
-    fn park_arrival(&mut self, req: Request) -> R::ArrivalHandle {
-        if T::PROFILE && R::IS_SLAB {
-            let t0 = Instant::now();
-            let handle = self.store.put_arrival(req);
-            self.tracer
-                .on_scope(ProfScope::SlabAlloc, t0.elapsed().as_nanos() as u64);
-            handle
-        } else {
-            self.store.put_arrival(req)
-        }
-    }
-
-    /// Redeems an arrival handle (slab-free scope timed).
-    fn redeem_arrival(&mut self, handle: R::ArrivalHandle) -> Request {
-        if T::PROFILE && R::IS_SLAB {
-            let t0 = Instant::now();
-            let req = self.store.take_arrival(handle);
-            self.tracer
-                .on_scope(ProfScope::SlabFree, t0.elapsed().as_nanos() as u64);
-            req
-        } else {
-            self.store.take_arrival(handle)
-        }
-    }
-
-    /// Parks a completion record in the store (slab-alloc scope timed).
-    fn park_completion(&mut self, completion: Completion) -> R::CompletionHandle {
-        if T::PROFILE && R::IS_SLAB {
-            let t0 = Instant::now();
-            let handle = self.store.put_completion(completion);
-            self.tracer
-                .on_scope(ProfScope::SlabAlloc, t0.elapsed().as_nanos() as u64);
-            handle
-        } else {
-            self.store.put_completion(completion)
-        }
-    }
-
-    /// Redeems a completion handle (slab-free scope timed).
-    fn redeem_completion(&mut self, handle: R::CompletionHandle) -> Completion {
-        if T::PROFILE && R::IS_SLAB {
-            let t0 = Instant::now();
-            let completion = self.store.take_completion(handle);
-            self.tracer
-                .on_scope(ProfScope::SlabFree, t0.elapsed().as_nanos() as u64);
-            completion
-        } else {
-            self.store.take_completion(handle)
-        }
-    }
-
     /// Runs the workload to exhaustion and returns the aggregated report.
     ///
     /// Equivalent to [`Driver::begin`], advancing through every event, then
@@ -468,19 +349,12 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
     /// returns the loop state. Drive it with [`Driver::advance_until`] and
     /// close it with [`Driver::finish`]; [`Driver::run`] composes exactly
     /// these steps, so a stepped run reproduces a one-shot run bit for bit.
-    pub fn begin(&mut self) -> RunState<Q, R> {
+    pub fn begin(&mut self) -> RunState {
         // The pending-event population is bounded by the chains, not the
         // workload: one in-flight arrival, one completion, and (with a
-        // non-empty fault clock) one fault. Tiny workloads bound it lower
-        // still. Pre-sizing from this estimate keeps the queue
-        // restructure-free for the whole run (reported in the report).
-        let chain = 2 + u64::from(!self.faults.is_empty());
-        let capacity = match self.workload.len_hint() {
-            Some(n) => chain.min(n.max(1)),
-            None => chain,
-        } as usize;
-        let mut events: Q::Queue<Ev<R::ArrivalHandle, R::CompletionHandle>> =
-            SimQueue::with_capacity(capacity);
+        // non-empty fault clock) one fault. The minimum calendar ring
+        // holds that without ever rebuilding.
+        let mut events = EventQueue::new();
         let report = SimReport {
             completed: 0,
             makespan: SimTime::ZERO,
@@ -517,8 +391,12 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
         let mut primed = false;
         if let Some(first) = lookahead_buf.pop_front() {
             let at = first.arrival;
-            let handle = self.park_arrival(first);
-            push_timed(&mut self.tracer, &mut events, at, Ev::Arrival(handle));
+            let handle = timed(&mut self.tracer, ProfScope::SlabAlloc, || {
+                self.arrivals.insert(first)
+            });
+            timed(&mut self.tracer, ProfScope::EventPush, || {
+                events.push(at, Ev::Arrival(handle))
+            });
             primed = true;
         }
 
@@ -530,12 +408,9 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
         // pre-session driver, which returned before touching the clock.
         if primed {
             if let Some(fault) = self.faults.pop() {
-                push_timed(
-                    &mut self.tracer,
-                    &mut events,
-                    fault.at,
-                    Ev::Fault(fault.kind),
-                );
+                timed(&mut self.tracer, ProfScope::EventPush, || {
+                    events.push(fault.at, Ev::Fault(fault.kind))
+                });
             }
         }
 
@@ -587,7 +462,7 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
     /// Pops the next buffered arrival, refilling the buffer from the
     /// workload when it has run dry. `None` means the workload is
     /// exhausted and the arrival chain ends.
-    fn pull_arrival(&mut self, state: &mut RunState<Q, R>) -> Option<Request> {
+    fn pull_arrival(&mut self, state: &mut RunState) -> Option<Request> {
         if state.lookahead_buf.is_empty() {
             Self::refill_lookahead(
                 &mut self.workload,
@@ -604,14 +479,14 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
     /// events remain pending beyond the limit — the caller advances the
     /// barrier and calls again. The fleet engine uses this to step every
     /// device of a shard to a common sim-time barrier.
-    pub fn advance_until(&mut self, state: &mut RunState<Q, R>, limit: SimTime) -> bool {
+    pub fn advance_until(&mut self, state: &mut RunState, limit: SimTime) -> bool {
         self.advance_inner(state, Some(limit))
     }
 
     /// The event loop shared by [`Driver::run`] (no limit) and
     /// [`Driver::advance_until`] (barrier-bounded). With `limit == None`
     /// the peek is skipped entirely, so the one-shot hot path is untouched.
-    fn advance_inner(&mut self, state: &mut RunState<Q, R>, limit: Option<SimTime>) -> bool {
+    fn advance_inner(&mut self, state: &mut RunState, limit: Option<SimTime>) -> bool {
         loop {
             if let Some(limit) = limit {
                 match state.events.peek_time() {
@@ -619,7 +494,8 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
                     _ => break,
                 }
             }
-            let Some(event) = pop_timed(&mut self.tracer, &mut state.events) else {
+            let Some(event) = timed(&mut self.tracer, ProfScope::EventPop, || state.events.pop())
+            else {
                 break;
             };
             let now = event.at;
@@ -635,7 +511,9 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
 
             match event.payload {
                 Ev::Arrival(handle) => {
-                    let req = self.redeem_arrival(handle);
+                    let req = timed(&mut self.tracer, ProfScope::SlabFree, || {
+                        self.arrivals.take(handle)
+                    });
                     // Overload admission: update the hysteresis state
                     // against the pre-enqueue depth, then shed or admit.
                     // Shed arrivals never reach the scheduler; they are
@@ -667,8 +545,12 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
                     }
                     if let Some(next) = self.pull_arrival(state) {
                         let at = next.arrival;
-                        let handle = self.park_arrival(next);
-                        push_timed(&mut self.tracer, &mut state.events, at, Ev::Arrival(handle));
+                        let handle = timed(&mut self.tracer, ProfScope::SlabAlloc, || {
+                            self.arrivals.insert(next)
+                        });
+                        timed(&mut self.tracer, ProfScope::EventPush, || {
+                            state.events.push(at, Ev::Arrival(handle))
+                        });
                     }
                     if !state.device_busy {
                         state.device_busy =
@@ -676,7 +558,9 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
                     }
                 }
                 Ev::Complete(handle) => {
-                    let completion = self.redeem_completion(handle);
+                    let completion = timed(&mut self.tracer, ProfScope::SlabFree, || {
+                        self.completions.take(handle)
+                    });
                     state.completed_total += 1;
                     if state.completed_total > self.warmup_requests {
                         state.report.completed += 1;
@@ -705,27 +589,17 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
                 Ev::Fault(kind) => {
                     // Faults never preempt: the device absorbs the state
                     // change now and applies it from its next service call.
-                    let t0 = if T::PROFILE {
-                        Some(Instant::now())
-                    } else {
-                        None
-                    };
-                    self.device.on_fault(&kind, now);
-                    if let Some(t0) = t0 {
-                        self.tracer
-                            .on_scope(ProfScope::FaultDelivery, t0.elapsed().as_nanos() as u64);
-                    }
+                    timed(&mut self.tracer, ProfScope::FaultDelivery, || {
+                        self.device.on_fault(&kind, now)
+                    });
                     state.report.fault_events += 1;
                     if T::ENABLED {
                         self.tracer.on_fault(&kind, now);
                     }
                     if let Some(next) = self.faults.pop() {
-                        push_timed(
-                            &mut self.tracer,
-                            &mut state.events,
-                            next.at,
-                            Ev::Fault(next.kind),
-                        );
+                        timed(&mut self.tracer, ProfScope::EventPush, || {
+                            state.events.push(next.at, Ev::Fault(next.kind))
+                        });
                     }
                 }
             }
@@ -736,13 +610,13 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
     /// Closes a session and returns the aggregated report. Call after
     /// [`Driver::advance_until`] reports no pending events; finishing a
     /// session with events still queued simply leaves them unprocessed.
-    pub fn finish(&mut self, state: RunState<Q, R>) -> SimReport {
+    pub fn finish(&mut self, state: RunState) -> SimReport {
         if let Some(run_start) = state.run_start {
             self.tracer
                 .on_run_wall(state.event_count, run_start.elapsed().as_nanos() as u64);
         }
         let mut report = state.report;
-        report.event_queue_restructures = state.events.restructures();
+        report.event_queue_restructures = state.events.rebuilds();
         let span = report.makespan.as_secs();
         report.mean_queue_depth = if span > 0.0 {
             state.depth_integral / span
@@ -757,7 +631,7 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
     fn start_next(
         &mut self,
         now: SimTime,
-        events: &mut Q::Queue<Ev<R::ArrivalHandle, R::CompletionHandle>>,
+        events: &mut EventQueue<Ev>,
         report: &mut SimReport,
     ) -> bool {
         let depth_before = if T::ENABLED { self.scheduler.len() } else { 0 };
@@ -773,16 +647,9 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
         // the pre-overload pick path.
         let timeout = self.overload.and_then(|p| p.queue_timeout);
         let picked = loop {
-            let pick_t0 = if T::PROFILE {
-                Some(Instant::now())
-            } else {
-                None
-            };
-            let picked = self.scheduler.pick(&self.device, now);
-            if let Some(t0) = pick_t0 {
-                self.tracer
-                    .on_scope(ProfScope::SchedPick, t0.elapsed().as_nanos() as u64);
-            }
+            let picked = timed(&mut self.tracer, ProfScope::SchedPick, || {
+                self.scheduler.pick(&self.device, now)
+            });
             match picked {
                 Some(req) => {
                     if let Some(deadline) = timeout {
@@ -809,16 +676,9 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
                         .saturating_sub(counters_before.candidates_examined);
                     self.tracer.on_pick(&req, now, depth_before, examined);
                 }
-                let svc_t0 = if T::PROFILE {
-                    Some(Instant::now())
-                } else {
-                    None
-                };
-                let breakdown = self.device.service(&req, now);
-                if let Some(t0) = svc_t0 {
-                    self.tracer
-                        .on_scope(ProfScope::DeviceService, t0.elapsed().as_nanos() as u64);
-                }
+                let breakdown = timed(&mut self.tracer, ProfScope::DeviceService, || {
+                    self.device.service(&req, now)
+                });
                 if T::ENABLED {
                     let energy = self.device.phase_energy(&breakdown);
                     self.tracer.on_service(&req, now, &breakdown, &energy);
@@ -832,8 +692,12 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
                     completion: now + total,
                 };
                 let at = completion.completion;
-                let handle = self.park_completion(completion);
-                push_timed(&mut self.tracer, events, at, Ev::Complete(handle));
+                let handle = timed(&mut self.tracer, ProfScope::SlabAlloc, || {
+                    self.completions.insert(completion)
+                });
+                timed(&mut self.tracer, ProfScope::EventPush, || {
+                    events.push(at, Ev::Complete(handle))
+                });
                 true
             }
             None => false,
@@ -845,10 +709,8 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer, Q: QueuePolicy, R: 
 mod tests {
     use super::*;
     use crate::device::ConstantDevice;
-    use crate::event::HeapQueuePolicy;
     use crate::request::IoKind;
     use crate::sched::FifoScheduler;
-    use crate::slab::MoveStore;
     use crate::workload::VecWorkload;
 
     fn req(id: u64, at_ms: f64, lbn: u64) -> Request {
@@ -945,44 +807,6 @@ mod tests {
         assert_eq!(t.counters().arrivals, 3);
         assert_eq!(t.counters().picks, 3);
         assert_eq!(t.counters().completions, 3);
-    }
-
-    #[test]
-    fn queue_and_store_strategies_are_bit_identical() {
-        let reqs: Vec<Request> = (0..200)
-            .map(|i| req(i, f64::from(i as u32) * 0.37, (i * 8) % 4096))
-            .collect();
-        let run_default = Driver::new(
-            VecWorkload::new(reqs.clone()),
-            FifoScheduler::new(),
-            ConstantDevice::new(10_000, 1e-3),
-        )
-        .record_completions(true)
-        .run();
-        let run_heap_move = Driver::new(
-            VecWorkload::new(reqs),
-            FifoScheduler::new(),
-            ConstantDevice::new(10_000, 1e-3),
-        )
-        .with_queue_policy::<HeapQueuePolicy>()
-        .with_request_store::<MoveStore>()
-        .record_completions(true)
-        .run();
-        assert_eq!(run_default.completed, run_heap_move.completed);
-        assert_eq!(run_default.makespan, run_heap_move.makespan);
-        assert_eq!(
-            run_default.response.mean().to_bits(),
-            run_heap_move.response.mean().to_bits()
-        );
-        let (a, b) = (
-            run_default.completions.as_ref().unwrap(),
-            run_heap_move.completions.as_ref().unwrap(),
-        );
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.request.id, y.request.id);
-            assert_eq!(x.start_service, y.start_service);
-            assert_eq!(x.completion, y.completion);
-        }
     }
 
     #[test]

@@ -13,17 +13,15 @@
 //!   `(time, seq)`, with an occupancy bitmap for sparse scans, an overflow
 //!   min-heap for events beyond the ring's span, and an automatic rebuild
 //!   that retunes the bucket width to the observed event density. This is
-//!   the driver's default: in the arrival-dominated regime pops hit the
+//!   the driver's queue: in the arrival-dominated regime pops hit the
 //!   cursor bucket directly and pushes are one binary insert into a
 //!   near-empty bucket, with no heap sift.
 //! * [`BinaryHeapEventQueue`] — the classic `BinaryHeap` min-queue, kept as
 //!   the reference implementation the property tests and the perf ladder
-//!   compare against, and selectable in the driver through
-//!   [`HeapQueuePolicy`].
+//!   compare against.
 //!
-//! Pop-order equivalence between the two is asserted by unit tests here, by
-//! the engine property tests, and end-to-end by the bit-identical
-//! `SimReport` integration tests.
+//! Pop-order equivalence between the two is asserted by unit tests here
+//! and by the engine property tests.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -70,9 +68,9 @@ impl<T> Ord for HeapEntry<T> {
     }
 }
 
-/// The common interface of the event-queue implementations, so the driver
-/// can be generic over the queue (see [`QueuePolicy`]) while everything
-/// else uses the concrete types directly.
+/// The common interface of the two event-queue implementations, so
+/// benchmarks and oracle tests can drive the calendar queue and its
+/// binary-heap reference through one generic harness.
 pub trait SimQueue<T> {
     /// Creates an empty queue.
     fn new() -> Self;
@@ -104,29 +102,6 @@ pub trait SimQueue<T> {
     /// Number of internal restructures (heap reallocations or calendar
     /// rebuilds) since construction; zero means the pre-sizing held.
     fn restructures(&self) -> u64;
-}
-
-/// Selects an event-queue implementation for the driver at the type level,
-/// so the whole event loop monomorphizes against the chosen queue.
-pub trait QueuePolicy {
-    /// The queue type instantiated for the driver's event payload.
-    type Queue<T>: SimQueue<T>;
-}
-
-/// Driver queue policy selecting the calendar [`EventQueue`] (the default).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CalendarQueuePolicy;
-
-impl QueuePolicy for CalendarQueuePolicy {
-    type Queue<T> = EventQueue<T>;
-}
-
-/// Driver queue policy selecting the [`BinaryHeapEventQueue`] reference.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HeapQueuePolicy;
-
-impl QueuePolicy for HeapQueuePolicy {
-    type Queue<T> = BinaryHeapEventQueue<T>;
 }
 
 /// The classic binary-heap min-queue of timestamped events with FIFO
@@ -267,7 +242,7 @@ const INITIAL_WIDTH: f64 = 1e-3;
 type Bucket<T> = Vec<(SimTime, u64, T)>;
 
 /// A calendar (bucketed) min-queue of timestamped events with FIFO
-/// tie-breaking — the driver's default event queue.
+/// tie-breaking — the driver's event queue.
 ///
 /// Events land in fixed-width time buckets on a power-of-two ring indexed
 /// by absolute bucket number; a cursor tracks the earliest live bucket, an
@@ -761,24 +736,5 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn policies_select_the_expected_queue() {
-        fn drain<Q: SimQueue<u32>>() -> Vec<u32> {
-            let mut q = Q::with_capacity(8);
-            q.push(SimTime::from_ms(2.0), 2);
-            q.push(SimTime::from_ms(1.0), 1);
-            assert_eq!(q.peek_time(), Some(SimTime::from_ms(1.0)));
-            std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect()
-        }
-        assert_eq!(
-            drain::<<CalendarQueuePolicy as QueuePolicy>::Queue<u32>>(),
-            vec![1, 2]
-        );
-        assert_eq!(
-            drain::<<HeapQueuePolicy as QueuePolicy>::Queue<u32>>(),
-            vec![1, 2]
-        );
     }
 }

@@ -59,16 +59,13 @@ pub use device::{
     ConstantDevice, PhaseEnergy, PositionOracle, PowerState, ServiceBreakdown, StorageDevice,
 };
 pub use driver::{Driver, RunState, SimReport};
-pub use event::{
-    BinaryHeapEventQueue, CalendarQueuePolicy, Event, EventQueue, HeapQueuePolicy, QueuePolicy,
-    SimQueue,
-};
+pub use event::{BinaryHeapEventQueue, Event, EventQueue, SimQueue};
 pub use fault::{FaultClock, FaultEvent, FaultKind};
 pub use overload::OverloadPolicy;
 pub use profile::{ProfScope, Profiler, ScopeStats};
 pub use request::{Completion, IoKind, Request, RequestId};
 pub use sched::{DynScheduler, FifoScheduler, SchedCounters, Scheduler};
-pub use slab::{MoveStore, RequestStore, Slab, SlabStore, SlotHandle};
+pub use slab::{Slab, SlotHandle};
 pub use stats::{Histogram, LogHistogram, ResponseStats, Welford};
 pub use telemetry::{Telemetry, TracerPair, Window};
 pub use time::SimTime;

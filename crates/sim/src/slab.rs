@@ -1,15 +1,9 @@
 //! Slab allocation for in-flight request state.
 //!
-//! The driver's event loop used to move whole [`Request`] and
-//! [`Completion`] values through event-queue entries. A [`Slab`] parks the
-//! value once and threads a `u32` slot handle through the queue instead,
-//! shrinking event payloads to a word and eliminating per-event moves of
-//! request state. The [`RequestStore`] trait abstracts over the two
-//! strategies so the bit-identity tests can run the same simulation with
-//! handles ([`SlabStore`]) and with moved values ([`MoveStore`]) and compare
-//! reports.
-
-use crate::request::{Completion, Request};
+//! Rather than moving whole request and completion values through
+//! event-queue entries, the driver parks each value once in a [`Slab`] and
+//! threads a `u32` slot handle through the queue, shrinking event payloads
+//! to a word.
 
 /// A slot handle into a [`Slab`].
 pub type SlotHandle = u32;
@@ -116,111 +110,9 @@ impl<T> Default for Slab<T> {
     }
 }
 
-/// How the driver parks request state while its events are in flight.
-///
-/// The two implementations must be observationally identical: the driver
-/// puts a value, threads the handle through the event queue, and takes the
-/// value back exactly once when the event fires.
-pub trait RequestStore {
-    /// Handle type threaded through arrival events.
-    type ArrivalHandle;
-    /// Handle type threaded through completion events.
-    type CompletionHandle;
-
-    /// Creates an empty store.
-    fn new() -> Self;
-
-    /// Parks an arriving request, returning the handle for its event.
-    fn put_arrival(&mut self, request: Request) -> Self::ArrivalHandle;
-
-    /// Redeems an arrival handle.
-    fn take_arrival(&mut self, handle: Self::ArrivalHandle) -> Request;
-
-    /// Parks a completion record, returning the handle for its event.
-    fn put_completion(&mut self, completion: Completion) -> Self::CompletionHandle;
-
-    /// Redeems a completion handle.
-    fn take_completion(&mut self, handle: Self::CompletionHandle) -> Completion;
-
-    /// Whether put/take pairs are slab operations worth profiling (lets
-    /// the tracer skip timing the no-op [`MoveStore`]).
-    const IS_SLAB: bool;
-}
-
-/// Slab-backed store: events carry `u32` slot handles (the default).
-#[derive(Debug, Default)]
-pub struct SlabStore {
-    arrivals: Slab<Request>,
-    completions: Slab<Completion>,
-}
-
-impl RequestStore for SlabStore {
-    type ArrivalHandle = SlotHandle;
-    type CompletionHandle = SlotHandle;
-
-    const IS_SLAB: bool = true;
-
-    fn new() -> Self {
-        SlabStore {
-            arrivals: Slab::with_capacity(4),
-            completions: Slab::with_capacity(4),
-        }
-    }
-
-    fn put_arrival(&mut self, request: Request) -> SlotHandle {
-        self.arrivals.insert(request)
-    }
-
-    fn take_arrival(&mut self, handle: SlotHandle) -> Request {
-        self.arrivals.take(handle)
-    }
-
-    fn put_completion(&mut self, completion: Completion) -> SlotHandle {
-        self.completions.insert(completion)
-    }
-
-    fn take_completion(&mut self, handle: SlotHandle) -> Completion {
-        self.completions.take(handle)
-    }
-}
-
-/// Pass-by-value store: events carry the values themselves (the reference
-/// strategy the bit-identity tests compare [`SlabStore`] against).
-#[derive(Debug, Default)]
-pub struct MoveStore;
-
-impl RequestStore for MoveStore {
-    type ArrivalHandle = Request;
-    type CompletionHandle = Completion;
-
-    const IS_SLAB: bool = false;
-
-    fn new() -> Self {
-        MoveStore
-    }
-
-    fn put_arrival(&mut self, request: Request) -> Request {
-        request
-    }
-
-    fn take_arrival(&mut self, handle: Request) -> Request {
-        handle
-    }
-
-    fn put_completion(&mut self, completion: Completion) -> Completion {
-        completion
-    }
-
-    fn take_completion(&mut self, handle: Completion) -> Completion {
-        handle
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::IoKind;
-    use crate::time::SimTime;
 
     #[test]
     fn slots_are_recycled_lifo() {
@@ -259,28 +151,5 @@ mod tests {
         }
         assert_eq!(slab.high_water(), 2);
         assert!(slab.is_empty());
-    }
-
-    #[test]
-    fn stores_round_trip_identically() {
-        fn round_trip<R: RequestStore>() -> (Request, Completion) {
-            let mut store = R::new();
-            let req = Request::new(9, SimTime::from_ms(1.0), 4096, 8, IoKind::Write);
-            let comp = Completion {
-                request: req,
-                start_service: SimTime::from_ms(2.0),
-                completion: SimTime::from_ms(3.0),
-            };
-            let h = store.put_arrival(req);
-            let hc = store.put_completion(comp);
-            let r = store.take_arrival(h);
-            let c = store.take_completion(hc);
-            (r, c)
-        }
-        let (slab_r, slab_c) = round_trip::<SlabStore>();
-        let (move_r, move_c) = round_trip::<MoveStore>();
-        assert_eq!(slab_r, move_r);
-        assert_eq!(slab_c.request, move_c.request);
-        assert_eq!(slab_c.completion, move_c.completion);
     }
 }

@@ -18,8 +18,8 @@ pub trait Workload {
     fn next_request(&mut self) -> Option<Request>;
 
     /// Number of requests still to come, if the source knows it. The
-    /// driver uses this to pre-size its event queue; `None` (the default)
-    /// means unknown, which is always safe.
+    /// streaming fleet engine needs it to size its foreground block; `None`
+    /// (the default) means unknown.
     fn len_hint(&self) -> Option<u64> {
         None
     }

@@ -74,7 +74,7 @@ impl Default for CelloParams {
 /// Use it directly as a [`Workload`] (requests get dense ids from 0 and
 /// as-traced arrival times), as an `Iterator` of [`TraceRecord`]s, or
 /// behind [`crate::Replay`] to scale the arrival rate. `len_hint` is
-/// exact, so the driver's event-queue pre-sizing stays restructure-free.
+/// exact, so it can also feed a streaming fleet.
 ///
 /// # Examples
 ///

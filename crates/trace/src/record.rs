@@ -179,8 +179,8 @@ impl Workload for TraceWorkload {
 /// The source is an ordinary `Iterator` (every generator in this crate —
 /// [`crate::CelloWorkload`], [`crate::TpccWorkload`],
 /// [`crate::StreamingWorkload`] — yields its records this way), and the
-/// `ExactSizeIterator` bound keeps `len_hint` exact so the driver's event
-/// queue pre-sizing holds at any trace length. Interarrival times are
+/// `ExactSizeIterator` bound keeps `len_hint` exact at any trace length,
+/// as a streaming fleet requires. Interarrival times are
 /// divided by `scale`, exactly as [`TraceWorkload`] does (§4.3).
 ///
 /// # Examples

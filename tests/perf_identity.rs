@@ -1,22 +1,21 @@
-//! Bit-identity of every events/sec fast path against its reference.
+//! Bit-identity of the incremental SPTF pick against its references.
 //!
-//! The perf work of the events/sec milestone swaps three engine components
-//! behind unchanged semantics: the calendar event queue (vs the binary
-//! heap), the slab request store (vs moving payloads through the queue),
-//! and the incremental SPTF pick (vs the rescan-every-pick B-tree index).
-//! Each swap must leave the `SimReport` of a Fig. 6-style cell
-//! bit-identical — same completions in the same order at the same times,
-//! same accumulated statistics — on both the MEMS device and the Atlas 10K
-//! disk. Any drift here means a fast path changed *what* is simulated, not
-//! just how fast.
+//! The production `SptfScheduler` keeps an incremental index instead of
+//! scanning the whole queue on every pick. That swap must leave the
+//! `SimReport` of a Fig. 6-style cell bit-identical to the naive scan and
+//! to the rescan-every-pick index — same completions in the same order at
+//! the same times, same accumulated statistics — on both the MEMS device
+//! and the Atlas 10K disk. Any drift here means a fast path changed *what*
+//! is simulated, not just how fast.
+//!
+//! The engine's own fast paths have their references in unit and property
+//! tests instead: the calendar event queue against the binary heap
+//! (`storage-sim`'s queue proptests), the request slab by its unit tests.
 
 use atlas_disk::{DiskDevice, DiskParams};
 use mems_device::{MemsDevice, MemsParams};
 use mems_os::sched::{NaiveSptfScheduler, RescanSptfScheduler, SptfScheduler};
-use storage_sim::{
-    CalendarQueuePolicy, Driver, HeapQueuePolicy, MoveStore, Scheduler, SimReport, SlabStore,
-    StorageDevice, Workload,
-};
+use storage_sim::{Driver, Scheduler, SimReport, StorageDevice, Workload};
 use storage_trace::RandomWorkload;
 
 const CAPACITY: u64 = 6_750_000;
@@ -52,9 +51,8 @@ fn assert_reports_identical(a: &SimReport, b: &SimReport, what: &str) {
     }
 }
 
-/// Runs one Fig. 6-style cell with the default engine (calendar queue +
-/// slab store).
-fn run_default<W: Workload, S: Scheduler, D: storage_sim::StorageDevice>(
+/// Runs one Fig. 6-style cell.
+fn run_cell<W: Workload, S: Scheduler, D: StorageDevice>(
     workload: W,
     scheduler: S,
     device: D,
@@ -63,91 +61,17 @@ fn run_default<W: Workload, S: Scheduler, D: storage_sim::StorageDevice>(
         .warmup_requests(200)
         .record_completions(true)
         .run()
-}
-
-/// Same cell with the reference engine (binary-heap queue, payloads moved
-/// through the queue instead of parked in slabs).
-fn run_reference<W: Workload, S: Scheduler, D: storage_sim::StorageDevice>(
-    workload: W,
-    scheduler: S,
-    device: D,
-) -> SimReport {
-    Driver::new(workload, scheduler, device)
-        .with_queue_policy::<HeapQueuePolicy>()
-        .with_request_store::<MoveStore>()
-        .warmup_requests(200)
-        .record_completions(true)
-        .run()
-}
-
-#[test]
-fn calendar_queue_and_slab_match_heap_and_moves_on_mems() {
-    let fast = run_default(
-        mems_workload(),
-        SptfScheduler::new(),
-        MemsDevice::new(MemsParams::default()),
-    );
-    let reference = run_reference(
-        mems_workload(),
-        SptfScheduler::new(),
-        MemsDevice::new(MemsParams::default()),
-    );
-    assert_reports_identical(&fast, &reference, "MEMS queue+store");
-}
-
-#[test]
-fn calendar_queue_and_slab_match_heap_and_moves_on_disk() {
-    let disk = || DiskDevice::new(DiskParams::quantum_atlas_10k());
-    let capacity = disk().capacity_lbns();
-    let wl = || RandomWorkload::paper(capacity, 220.0, 1000, SEED);
-    let fast = run_default(wl(), SptfScheduler::new(), disk());
-    let reference = run_reference(wl(), SptfScheduler::new(), disk());
-    assert_reports_identical(&fast, &reference, "disk queue+store");
-}
-
-#[test]
-fn queue_policies_swap_independently_of_store() {
-    // The two axes are independent: calendar+moves and heap+slab must both
-    // match the default as well.
-    let fast = run_default(
-        mems_workload(),
-        SptfScheduler::new(),
-        MemsDevice::new(MemsParams::default()),
-    );
-    let cal_moves = Driver::new(
-        mems_workload(),
-        SptfScheduler::new(),
-        MemsDevice::new(MemsParams::default()),
-    )
-    .with_queue_policy::<CalendarQueuePolicy>()
-    .with_request_store::<MoveStore>()
-    .warmup_requests(200)
-    .record_completions(true)
-    .run();
-    let heap_slab = Driver::new(
-        mems_workload(),
-        SptfScheduler::new(),
-        MemsDevice::new(MemsParams::default()),
-    )
-    .with_queue_policy::<HeapQueuePolicy>()
-    .with_request_store::<SlabStore>()
-    .warmup_requests(200)
-    .record_completions(true)
-    .run();
-    assert_reports_identical(&fast, &cal_moves, "calendar+moves");
-    assert_reports_identical(&fast, &heap_slab, "heap+slab");
 }
 
 #[test]
 fn full_fast_stack_matches_full_reference_stack() {
-    // Everything on vs everything off, with the scheduler axis included:
-    // incremental SPTF + calendar + slab vs naive scan + heap + moves.
-    let fast = run_default(
+    // Incremental SPTF vs the naive scan over every pending request.
+    let fast = run_cell(
         mems_workload(),
         SptfScheduler::new(),
         MemsDevice::new(MemsParams::default()),
     );
-    let reference = run_reference(
+    let reference = run_cell(
         mems_workload(),
         NaiveSptfScheduler::new(),
         MemsDevice::new(MemsParams::default()),
@@ -156,18 +80,26 @@ fn full_fast_stack_matches_full_reference_stack() {
 }
 
 #[test]
-fn incremental_pick_matches_rescan_under_reference_engine() {
-    // Cross axis: the scheduler swap must also hold when the engine runs
-    // on the reference queue and store.
-    let a = run_reference(
+fn incremental_pick_matches_rescan() {
+    let a = run_cell(
         mems_workload(),
         SptfScheduler::new(),
         MemsDevice::new(MemsParams::default()),
     );
-    let b = run_reference(
+    let b = run_cell(
         mems_workload(),
         RescanSptfScheduler::new(),
         MemsDevice::new(MemsParams::default()),
     );
-    assert_reports_identical(&a, &b, "incremental vs rescan on reference engine");
+    assert_reports_identical(&a, &b, "incremental vs rescan");
+}
+
+#[test]
+fn incremental_pick_matches_naive_on_disk() {
+    let disk = || DiskDevice::new(DiskParams::quantum_atlas_10k());
+    let capacity = disk().capacity_lbns();
+    let wl = || RandomWorkload::paper(capacity, 220.0, 1000, SEED);
+    let fast = run_cell(wl(), SptfScheduler::new(), disk());
+    let reference = run_cell(wl(), NaiveSptfScheduler::new(), disk());
+    assert_reports_identical(&fast, &reference, "disk incremental vs naive");
 }

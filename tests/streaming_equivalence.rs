@@ -6,11 +6,13 @@
 //! exactly the simulation that materializing the trace up front produces.
 //! These tests hold that contract for every generator, on both device
 //! models, at several look-ahead depths and shard/thread splits, and for
-//! the overload machinery's zero-trigger invariant.
+//! the overload machinery's zero-trigger invariant. A test-only routing
+//! oracle holds the fleet engine's stations to standalone drivers over
+//! the same routed sub-I/Os.
 
 use atlas_disk::{DiskDevice, DiskParams};
 use mems_device::{MemsDevice, MemsParams};
-use mems_fleet::{FleetConfig, FleetEngine, VolumeSpec};
+use mems_fleet::{FleetConfig, FleetEngine, SubIo, VolumeSpec};
 use mems_os::sched::SptfScheduler;
 use proptest::prelude::*;
 use storage_sim::{
@@ -72,7 +74,7 @@ fn assert_streamed_identical<W, D, S>(
         .run();
     assert_eq!(
         materialized.event_queue_restructures, 0,
-        "{name}: materialized pre-sizing regressed"
+        "{name}: materialized run restructured its event queue"
     );
     for lookahead in [1, 7, 4096] {
         let streamed = Driver::new(make(), scheduler(), device())
@@ -173,78 +175,187 @@ fn ramp_streamed_identical() {
     });
 }
 
-/// The streaming fleet must reproduce the materialized fleet bit for bit
-/// at every shard/thread split, with background traffic in flight and the
-/// per-station event queues never restructuring.
-#[test]
-fn fleet_streamed_identical_across_splits() {
-    let stations = 16;
-    let volume = VolumeSpec::flat(stations, 64);
-    let rate = 400.0 * stations as f64;
-    let n = 12_000u64;
-    let fleet_workload = || RandomWorkload::paper(volume.capacity(MEMS_CAPACITY), rate, n, SEED);
-    let requests = collect(fleet_workload());
+const FLEET_STATIONS: usize = 16;
+const FLEET_REQUESTS: u64 = 12_000;
+const FLEET_BACKGROUND: u64 = 40;
 
-    fn add_bg<S, D, T, W>(engine: &mut FleetEngine<S, D, T, W>, stations: usize)
-    where
-        S: Scheduler,
-        D: StorageDevice,
-        T: Tracer,
-        W: Workload,
-    {
-        for i in 0..40u64 {
-            engine.add_background(
-                (i % stations as u64) as usize,
-                SimTime::from_secs(0.5 + i as f64 * 0.2),
-                i * 9_001,
-                64,
-                IoKind::Read,
-            );
-        }
+fn fleet_volume() -> VolumeSpec {
+    VolumeSpec::flat(FLEET_STATIONS, 64)
+}
+
+fn fleet_workload(volume: &VolumeSpec) -> RandomWorkload {
+    let rate = 400.0 * FLEET_STATIONS as f64;
+    RandomWorkload::paper(volume.capacity(MEMS_CAPACITY), rate, FLEET_REQUESTS, SEED)
+}
+
+fn fleet_devices() -> Vec<MemsDevice> {
+    (0..FLEET_STATIONS)
+        .map(|_| MemsDevice::new(MemsParams::default()))
+        .collect()
+}
+
+/// Background traffic as `(station, arrival, lbn)`: each request lands at
+/// the exact arrival time of a foreground sub-I/O on its station, so the
+/// foreground-first tie-break is exercised, not just ordinary merging.
+fn background(volume: &VolumeSpec, requests: &[Request]) -> Vec<(usize, SimTime, u64)> {
+    let mut subs = Vec::new();
+    (0..FLEET_BACKGROUND)
+        .map(|i| {
+            let req = &requests[(i as usize * 293 + 17) % requests.len()];
+            subs.clear();
+            volume.route(req, &mut subs);
+            (subs[0].station, req.arrival, i * 9_001)
+        })
+        .collect()
+}
+
+fn add_background<S, D, T, W>(engine: &mut FleetEngine<S, D, T, W>, bg: &[(usize, SimTime, u64)])
+where
+    S: Scheduler,
+    D: StorageDevice,
+    T: Tracer,
+    W: Workload,
+{
+    for &(station, at, lbn) in bg {
+        engine.add_background(station, at, lbn, 64, IoKind::Read);
     }
+}
 
-    let config = |shards: usize, threads: usize| FleetConfig {
+fn fleet_config(shards: usize, threads: usize) -> FleetConfig {
+    FleetConfig {
         shards,
         threads,
         warmup_requests: 200,
         keep_station_completions: false,
         ..FleetConfig::default()
-    };
+    }
+}
+
+/// The streaming fleet must reproduce the slice-built fleet bit for bit
+/// at every shard/thread split, with background traffic in flight and the
+/// per-station event queues never restructuring.
+#[test]
+fn fleet_streamed_identical_across_splits() {
+    let volume = fleet_volume();
+    let requests = collect(fleet_workload(&volume));
+    let bg = background(&volume, &requests);
 
     let mut baseline_engine = FleetEngine::new(
-        (0..stations)
-            .map(|_| MemsDevice::new(MemsParams::default()))
-            .collect(),
+        fleet_devices(),
         |_| SptfScheduler::new(),
         &volume,
         &requests,
-        config(1, 1),
+        fleet_config(1, 1),
     );
-    add_bg(&mut baseline_engine, stations);
+    add_background(&mut baseline_engine, &bg);
     let baseline = baseline_engine.run();
     assert_eq!(baseline.station_restructures, 0);
-    assert_eq!(baseline.background_completed, 40);
+    assert_eq!(baseline.background_completed, FLEET_BACKGROUND);
 
     for (shards, threads) in [(1, 1), (4, 2), (16, 4)] {
         let mut streamed_engine = FleetEngine::streaming(
-            (0..stations)
-                .map(|_| MemsDevice::new(MemsParams::default()))
-                .collect(),
+            fleet_devices(),
             |_| SptfScheduler::new(),
             volume.clone(),
-            fleet_workload(),
+            fleet_workload(&volume),
             FleetConfig {
                 streaming_stats: true,
-                ..config(shards, threads)
+                ..fleet_config(shards, threads)
             },
         );
-        add_bg(&mut streamed_engine, stations);
+        add_background(&mut streamed_engine, &bg);
         let streamed = streamed_engine.run();
         assert_eq!(
             baseline.digest(),
             streamed.digest(),
             "streaming fleet diverged at shards={shards} threads={threads}"
         );
+    }
+}
+
+/// Routing oracle, independent of the engine's splitter: route every
+/// request up front with `VolumeSpec::route`, merge each station's
+/// background by a stable arrival sort (foreground was pushed first, so it
+/// wins ties), and run each station as a plain driver. Every station of
+/// the fleet report must match its standalone run bit for bit, down to
+/// the completion sequence.
+#[test]
+fn fleet_stations_match_standalone_drivers() {
+    let volume = fleet_volume();
+    let requests = collect(fleet_workload(&volume));
+    let bg = background(&volume, &requests);
+
+    let mut engine = FleetEngine::new(
+        fleet_devices(),
+        |_| SptfScheduler::new(),
+        &volume,
+        &requests,
+        FleetConfig {
+            keep_station_completions: true,
+            ..fleet_config(4, 2)
+        },
+    );
+    add_background(&mut engine, &bg);
+    let fleet = engine.run();
+
+    let mut routed: Vec<Vec<Request>> = vec![Vec::new(); FLEET_STATIONS];
+    let mut subs: Vec<SubIo> = Vec::new();
+    for req in &requests {
+        subs.clear();
+        volume.route(req, &mut subs);
+        for sub in &subs {
+            routed[sub.station].push(Request::new(
+                req.id,
+                req.arrival,
+                sub.lbn,
+                sub.sectors,
+                sub.kind,
+            ));
+        }
+    }
+    for (i, &(station, at, lbn)) in bg.iter().enumerate() {
+        let id = FLEET_REQUESTS + i as u64;
+        routed[station].push(Request::new(id, at, lbn, 64, IoKind::Read));
+    }
+
+    assert_eq!(fleet.stations.len(), FLEET_STATIONS);
+    for (i, (mut reqs, station)) in routed.into_iter().zip(&fleet.stations).enumerate() {
+        reqs.sort_by_key(|r| r.arrival);
+        let alone = Driver::new(
+            VecWorkload::new(reqs),
+            SptfScheduler::new(),
+            MemsDevice::new(MemsParams::default()),
+        )
+        .record_completions(true)
+        .run();
+        assert_eq!(station.completed, alone.completed, "station {i}: completed");
+        assert_eq!(station.makespan, alone.makespan, "station {i}: makespan");
+        for (what, a, b) in [
+            ("response", station.response.mean(), alone.response.mean()),
+            ("queue", station.queue_time.mean(), alone.queue_time.mean()),
+            (
+                "service",
+                station.service_time.mean(),
+                alone.service_time.mean(),
+            ),
+            ("busy", station.busy_secs, alone.busy_secs),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "station {i}: {what}");
+        }
+        assert_eq!(
+            station.max_queue_depth, alone.max_queue_depth,
+            "station {i}: max queue depth"
+        );
+        let (a, b) = (
+            station.completions.as_ref().expect("kept"),
+            alone.completions.as_ref().expect("recorded"),
+        );
+        assert_eq!(a.len(), b.len(), "station {i}: completion count");
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.request.id, y.request.id, "station {i}: service order");
+            assert_eq!(x.start_service, y.start_service, "station {i}: start");
+            assert_eq!(x.completion, y.completion, "station {i}: completion");
+        }
     }
 }
 
