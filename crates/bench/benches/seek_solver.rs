@@ -1,6 +1,8 @@
-//! Micro-benchmarks of the closed-form kinematics — the hot path of SPTF
-//! scheduling, which calls the bang-bang solver for every pending request
-//! on every dispatch decision.
+//! Micro-benchmarks of the closed-form kinematics. SPTF's per-decision
+//! queries read the precomputed seek surface, so the bang-bang solver runs
+//! at set-up (6.25 M solves to build the paper device's surface) and for
+//! the queries the surface does not answer: off-grid states and devices
+//! built without one.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mems_bench::surfaced_mems_device;

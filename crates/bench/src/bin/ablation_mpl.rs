@@ -13,10 +13,7 @@ use mems_os::sched::Algorithm;
 use storage_sim::{closed_loop, rng, IoKind};
 
 fn main() {
-    let requests: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4000);
+    let requests = mems_bench::count_arg(env!("CARGO_BIN_NAME"), "REQUESTS", 4000);
     println!("Ablation: throughput vs multiprogramming level (closed loop)");
     println!("({requests} random 4 KB reads per point, zero think time)\n");
 

@@ -34,10 +34,7 @@ fn run_panel(name: &str, csv: &str, records: &[TraceRecord], scales: &[f64], req
 }
 
 fn main() {
-    let requests: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
+    let requests = mems_bench::count_arg(env!("CARGO_BIN_NAME"), "REQUESTS", 10_000) as usize;
     let capacity = MemsParams::default().geometry().total_sectors();
 
     // Generate traces once; the base (scale-1) arrival rates are modest,

@@ -13,10 +13,7 @@ use mems_os::sched::Algorithm;
 use storage_trace::RandomWorkload;
 
 fn main() {
-    let requests: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
+    let requests = mems_bench::count_arg(env!("CARGO_BIN_NAME"), "REQUESTS", 10_000);
     let capacity = MemsParams::default().geometry().total_sectors();
 
     for (panel, constants) in [

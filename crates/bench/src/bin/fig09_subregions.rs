@@ -60,10 +60,7 @@ fn subregion_mean(device: &MemsDevice, cx: i64, cy: i64, n: u64, seed: u64) -> f
 }
 
 fn main() {
-    let n: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
+    let n = mems_bench::count_arg(env!("CARGO_BIN_NAME"), "REQUESTS", 10_000);
     let offsets: [i64; 5] = [-800, -400, 0, 400, 800];
 
     println!("Figure 9: average 4 KB service time (ms) per 400x400-bit subregion");

@@ -36,10 +36,7 @@ fn measure<D: StorageDevice>(layout: &dyn Layout, device: D, requests: u64) -> f
 }
 
 fn main() {
-    let requests: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
+    let requests = mems_bench::count_arg(env!("CARGO_BIN_NAME"), "REQUESTS", 10_000);
 
     let geom = MemsParams::default().geometry();
     let mems_capacity = geom.total_sectors();

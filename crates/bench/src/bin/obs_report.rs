@@ -69,10 +69,7 @@ fn migration_placement() -> PlacementConfig {
 }
 
 fn main() -> ExitCode {
-    let requests: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_000);
+    let requests = mems_bench::count_arg(env!("CARGO_BIN_NAME"), "REQUESTS", 2_000);
     let params = MemsParams::default();
     let capacity = params.geometry().total_sectors();
 

@@ -91,10 +91,7 @@ fn digest(r: &SimReport) -> String {
 }
 
 fn main() {
-    let scale: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+    let scale = mems_bench::count_arg(env!("CARGO_BIN_NAME"), "SCALE", 1);
 
     // Gate: admission control that never triggers must be invisible.
     let plain = run_cell(2_000.0, scale, None);

@@ -357,13 +357,10 @@ fn request_count(what: &str, raw: Option<String>) -> u64 {
         eprintln!("missing value for {what}");
         usage()
     };
-    match raw.parse::<u64>() {
-        Ok(n) if n > 0 => n,
-        _ => {
-            eprintln!("invalid {what} {raw}: must be a positive integer");
-            usage()
-        }
-    }
+    mems_bench::cli::positive_count(what, &raw).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        usage()
+    })
 }
 
 /// Parses the command line: `(requests, streaming requests)`.

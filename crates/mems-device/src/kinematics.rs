@@ -27,6 +27,8 @@
 //!   (§2.3, Table 2: ≈0.07 ms at center, less when the spring assists);
 //! * X-seek settle is a separate additive constant (§2.4.2).
 
+use std::f64::consts::{PI, TAU};
+
 /// Tolerance for treating two phase-plane states as identical, in meters.
 const POS_EPS: f64 = 1e-12;
 
@@ -119,42 +121,36 @@ impl SpringSled {
         u - self.omega * self.omega * p
     }
 
-    /// Time of the clockwise arc on the circle centered at `c` from state
-    /// `(p0, w0)` to `(p1, w1)`, where `w = v/ω`. Both states must lie on
-    /// the circle. A zero-length arc returns 0.
-    fn arc_time(&self, c: f64, p0: f64, w0: f64, p1: f64, w1: f64) -> f64 {
-        let th0 = f64::atan2(-w0, p0 - c);
-        let th1 = f64::atan2(-w1, p1 - c);
+    /// Time and reach of the clockwise arc on the circle centered at `c`
+    /// from state `(p0, w0)` at phase angle `th0` to position `p1` at angle
+    /// `th1`, where `w = v/ω` and a state's angle is `atan2(−w, p − c)`.
+    /// Both states must lie on the circle. A zero-length arc takes 0 s.
+    ///
+    /// The reach is the maximum |p| on the arc, used to reject trajectories
+    /// that fly far outside the device.
+    fn arc(&self, c: f64, p0: f64, w0: f64, p1: f64, th0: f64, th1: f64) -> (f64, f64) {
         // Clockwise in (p-c, w) space is increasing θ under this sign
         // convention; normalize the sweep into [0, 2π).
-        let mut dth = th1 - th0;
-        dth = dth.rem_euclid(2.0 * std::f64::consts::PI);
-        if dth > 2.0 * std::f64::consts::PI - ANGLE_EPS {
+        let mut dth = (th1 - th0).rem_euclid(TAU);
+        if dth > TAU - ANGLE_EPS {
             dth = 0.0;
         }
-        dth / self.omega
-    }
-
-    /// Maximum |p| reached on the clockwise arc described above, used to
-    /// reject trajectories that fly far outside the device.
-    fn arc_max_abs_pos(&self, c: f64, p0: f64, w0: f64, p1: f64, w1: f64) -> f64 {
-        let r = ((p0 - c).powi(2) + w0 * w0).sqrt();
-        let th0 = f64::atan2(-w0, p0 - c).rem_euclid(2.0 * std::f64::consts::PI);
-        let mut dth = (f64::atan2(-w1, p1 - c) - f64::atan2(-w0, p0 - c))
-            .rem_euclid(2.0 * std::f64::consts::PI);
-        if dth > 2.0 * std::f64::consts::PI - ANGLE_EPS {
-            dth = 0.0;
-        }
-        let mut max_abs = p0.abs().max(p1.abs());
+        let mut reach = p0.abs().max(p1.abs());
         // Extremes of p on the circle occur at θ = 0 (p = c + r) and θ = π
         // (p = c − r); check whether the swept arc crosses them.
-        for (theta_ext, p_ext) in [(0.0, c + r), (std::f64::consts::PI, c - r)] {
-            let offset = (theta_ext - th0).rem_euclid(2.0 * std::f64::consts::PI);
-            if offset <= dth {
-                max_abs = max_abs.max(p_ext.abs());
+        let th0 = th0.rem_euclid(TAU);
+        let crosses_max = (0.0 - th0).rem_euclid(TAU) <= dth;
+        let crosses_min = (PI - th0).rem_euclid(TAU) <= dth;
+        if crosses_max || crosses_min {
+            let r = ((p0 - c).powi(2) + w0 * w0).sqrt();
+            if crosses_max {
+                reach = reach.max((c + r).abs());
+            }
+            if crosses_min {
+                reach = reach.max((c - r).abs());
             }
         }
-        max_abs
+        (dth / self.omega, reach)
     }
 
     /// Time-optimal bang-bang transfer time from `(p0, v0)` to `(p1, v1)`,
@@ -163,7 +159,9 @@ impl SpringSled {
     /// Evaluates both control orderings (+a then −a, and −a then +a) and
     /// both phase-plane intersection branches, rejecting trajectories that
     /// leave the travel range by more than a small slack, and returns the
-    /// fastest feasible transfer.
+    /// fastest feasible transfer. Each distinct phase-plane angle is solved
+    /// once per ordering and shared by every candidate arc that starts or
+    /// ends there: at most 10 `atan2` calls, 5 for a rest-to-rest seek.
     ///
     /// # Panics
     ///
@@ -189,12 +187,13 @@ impl SpringSled {
             let c2 = -c1;
             let r1_sq = (p0 - c1).powi(2) + w0 * w0;
             let r2_sq = (p1 - c2).powi(2) + w1 * w1;
+            let th_start = f64::atan2(-w0, p0 - c1);
 
             // Single-phase candidate: the goal already lies on circle 1.
             let goal_on_c1 = (p1 - c1).powi(2) + w1 * w1;
             if (goal_on_c1 - r1_sq).abs() <= 1e-9 * (r1_sq + POS_EPS) {
-                let t = self.arc_time(c1, p0, w0, p1, w1);
-                let reach = self.arc_max_abs_pos(c1, p0, w0, p1, w1);
+                let th_goal = f64::atan2(-w1, p1 - c1);
+                let (t, reach) = self.arc(c1, p0, w0, p1, th_start, th_goal);
                 if reach <= slack_lim {
                     best = best.min(t);
                 }
@@ -210,11 +209,18 @@ impl SpringSled {
                 continue; // circles do not intersect under this ordering
             }
             let h = h_sq.max(0.0).sqrt();
-            for wx in [h, -h] {
-                let t = self.arc_time(c1, p0, w0, px, wx) + self.arc_time(c2, px, wx, p1, w1);
-                let reach = self
-                    .arc_max_abs_pos(c1, p0, w0, px, wx)
-                    .max(self.arc_max_abs_pos(c2, px, wx, p1, w1));
+            let th_goal = f64::atan2(-w1, p1 - c2);
+            // The switch state (px, ±h) on either circle. atan2 is odd in y,
+            // signed zeros included, so the −h angles are the negated +h ones.
+            let th_switch1 = f64::atan2(-h, px - c1);
+            let th_switch2 = f64::atan2(-h, px - c2);
+            for (wx, th_switch1, th_switch2) in
+                [(h, th_switch1, th_switch2), (-h, -th_switch1, -th_switch2)]
+            {
+                let (t1, reach1) = self.arc(c1, p0, w0, px, th_start, th_switch1);
+                let (t2, reach2) = self.arc(c2, px, wx, p1, th_switch2, th_goal);
+                let t = t1 + t2;
+                let reach = reach1.max(reach2);
                 if reach <= slack_lim {
                     best = best.min(t);
                 }
@@ -319,9 +325,135 @@ impl SpringSled {
     }
 }
 
+/// Reference solver: every arc solves both endpoint angles for its time and
+/// again for its reach, 20 `atan2` calls for a rest-to-rest seek.
+/// [`SpringSled::seek_time`] must return the same bits; the tests below
+/// compare the two.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    impl SpringSled {
+        /// Time of the clockwise arc on the circle centered at `c` from state
+        /// `(p0, w0)` to `(p1, w1)`, where `w = v/ω`. Both states must lie on
+        /// the circle. A zero-length arc returns 0.
+        fn arc_time(&self, c: f64, p0: f64, w0: f64, p1: f64, w1: f64) -> f64 {
+            let th0 = f64::atan2(-w0, p0 - c);
+            let th1 = f64::atan2(-w1, p1 - c);
+            // Clockwise in (p-c, w) space is increasing θ under this sign
+            // convention; normalize the sweep into [0, 2π).
+            let mut dth = th1 - th0;
+            dth = dth.rem_euclid(2.0 * std::f64::consts::PI);
+            if dth > 2.0 * std::f64::consts::PI - ANGLE_EPS {
+                dth = 0.0;
+            }
+            dth / self.omega
+        }
+
+        /// Maximum |p| reached on the clockwise arc described above, used to
+        /// reject trajectories that fly far outside the device.
+        fn arc_max_abs_pos(&self, c: f64, p0: f64, w0: f64, p1: f64, w1: f64) -> f64 {
+            let r = ((p0 - c).powi(2) + w0 * w0).sqrt();
+            let th0 = f64::atan2(-w0, p0 - c).rem_euclid(2.0 * std::f64::consts::PI);
+            let mut dth = (f64::atan2(-w1, p1 - c) - f64::atan2(-w0, p0 - c))
+                .rem_euclid(2.0 * std::f64::consts::PI);
+            if dth > 2.0 * std::f64::consts::PI - ANGLE_EPS {
+                dth = 0.0;
+            }
+            let mut max_abs = p0.abs().max(p1.abs());
+            // Extremes of p on the circle occur at θ = 0 (p = c + r) and θ = π
+            // (p = c − r); check whether the swept arc crosses them.
+            for (theta_ext, p_ext) in [(0.0, c + r), (std::f64::consts::PI, c - r)] {
+                let offset = (theta_ext - th0).rem_euclid(2.0 * std::f64::consts::PI);
+                if offset <= dth {
+                    max_abs = max_abs.max(p_ext.abs());
+                }
+            }
+            max_abs
+        }
+
+        /// Time-optimal bang-bang transfer time from `(p0, v0)` to `(p1, v1)`,
+        /// in seconds.
+        ///
+        /// Evaluates both control orderings (+a then −a, and −a then +a) and
+        /// both phase-plane intersection branches, rejecting trajectories that
+        /// leave the travel range by more than a small slack, and returns the
+        /// fastest feasible transfer.
+        ///
+        /// # Panics
+        ///
+        /// Panics if start or goal position lies outside the travel range.
+        pub(super) fn reference_seek_time(&self, p0: f64, v0: f64, p1: f64, v1: f64) -> f64 {
+            let lim = self.p_max * (1.0 + OVERTRAVEL_SLACK) + POS_EPS;
+            assert!(
+                p0.abs() <= lim && p1.abs() <= lim,
+                "seek endpoints must lie within the sled travel range"
+            );
+            if (p0 - p1).abs() < POS_EPS && (v0 - v1).abs() < self.omega * POS_EPS {
+                return 0.0;
+            }
+
+            let w0 = v0 / self.omega;
+            let w1 = v1 / self.omega;
+            let slack_lim = self.p_max * (1.0 + OVERTRAVEL_SLACK);
+
+            let mut best = f64::INFINITY;
+            let mut best_unchecked = f64::INFINITY;
+            for u1_sign in [1.0f64, -1.0] {
+                let c1 = u1_sign * self.accel / (self.omega * self.omega);
+                let c2 = -c1;
+                let r1_sq = (p0 - c1).powi(2) + w0 * w0;
+                let r2_sq = (p1 - c2).powi(2) + w1 * w1;
+
+                // Single-phase candidate: the goal already lies on circle 1.
+                let goal_on_c1 = (p1 - c1).powi(2) + w1 * w1;
+                if (goal_on_c1 - r1_sq).abs() <= 1e-9 * (r1_sq + POS_EPS) {
+                    let t = self.arc_time(c1, p0, w0, p1, w1);
+                    let reach = self.arc_max_abs_pos(c1, p0, w0, p1, w1);
+                    if reach <= slack_lim {
+                        best = best.min(t);
+                    }
+                    best_unchecked = best_unchecked.min(t);
+                }
+
+                // Two-phase candidates: circle-1/circle-2 intersections.
+                let denom = 2.0 * (c2 - c1);
+                debug_assert!(denom.abs() > 0.0);
+                let px = (r1_sq - r2_sq + c2 * c2 - c1 * c1) / denom;
+                let h_sq = r1_sq - (px - c1).powi(2);
+                if h_sq < -1e-18 {
+                    continue; // circles do not intersect under this ordering
+                }
+                let h = h_sq.max(0.0).sqrt();
+                for wx in [h, -h] {
+                    let t = self.arc_time(c1, p0, w0, px, wx) + self.arc_time(c2, px, wx, p1, w1);
+                    let reach = self
+                        .arc_max_abs_pos(c1, p0, w0, px, wx)
+                        .max(self.arc_max_abs_pos(c2, px, wx, p1, w1));
+                    if reach <= slack_lim {
+                        best = best.min(t);
+                    }
+                    best_unchecked = best_unchecked.min(t);
+                }
+            }
+            if best.is_finite() {
+                best
+            } else {
+                // All candidates over-travelled (possible only for contrived
+                // states); fall back to the fastest unchecked trajectory.
+                debug_assert!(best_unchecked.is_finite(), "no bang-bang solution found");
+                best_unchecked
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::Mapper;
+    use crate::params::MemsParams;
+    use proptest::prelude::*;
 
     fn paper_sled() -> SpringSled {
         SpringSled::from_spring_factor(803.6, 0.75, 50e-6)
@@ -361,6 +493,8 @@ mod tests {
         }
     }
 
+    /// Symmetric to rounding only: the solver is not bit-symmetric, which is
+    /// why the seek surface stores the whole matrix (see `surface.rs`).
     #[test]
     fn rest_seek_is_symmetric() {
         let sled = paper_sled();
@@ -480,5 +614,106 @@ mod tests {
     #[should_panic(expected = "overpower")]
     fn overpowering_spring_rejected() {
         let _ = SpringSled::new(100.0, 5000.0, 50e-6);
+    }
+
+    /// Asserts the solver and its reference agree bit for bit.
+    fn assert_matches_reference(sled: &SpringSled, p0: f64, v0: f64, p1: f64, v1: f64) {
+        let fast = sled.seek_time(p0, v0, p1, v1);
+        let reference = sled.reference_seek_time(p0, v0, p1, v1);
+        assert_eq!(
+            fast.to_bits(),
+            reference.to_bits(),
+            "seek ({p0:e}, {v0:e}) -> ({p1:e}, {v1:e}): {fast:e} vs reference {reference:e}"
+        );
+    }
+
+    /// The paper device's X axis sled and its exact on-grid coordinates.
+    fn paper_grid() -> (SpringSled, MemsParams, Mapper) {
+        let params = MemsParams::default();
+        let sled = SpringSled::from_spring_factor(
+            params.accel,
+            params.spring_factor,
+            params.half_mobility(),
+        );
+        let mapper = Mapper::new(&params);
+        (sled, params, mapper)
+    }
+
+    /// Every rest-to-rest X seek between the listed cylinders of the paper
+    /// device, on exactly the coordinates the seek surface solves.
+    fn check_x_grid(from: impl Iterator<Item = u32>, to: &[u32]) {
+        let (sled, _, mapper) = paper_grid();
+        for a in from {
+            let xa = mapper.x_of_cylinder(a);
+            for &b in to {
+                assert_matches_reference(&sled, xa, 0.0, mapper.x_of_cylinder(b), 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn solver_matches_reference_on_strided_paper_x_grid() {
+        let n = MemsParams::default().geometry().cylinders;
+        let edges = [0, 1, n / 2, n - 2, n - 1];
+        let to: Vec<u32> = (0..n).step_by(7).chain(edges).collect();
+        check_x_grid((0..n).step_by(17).chain(edges), &to);
+    }
+
+    /// The full 2500² grid: ~4 s in release, minutes in a debug build.
+    /// Run with `cargo test --release -p mems-device --lib -- --ignored`.
+    #[test]
+    #[ignore]
+    fn solver_matches_reference_on_full_paper_x_grid() {
+        let n = MemsParams::default().geometry().cylinders;
+        let all: Vec<u32> = (0..n).collect();
+        check_x_grid(0..n, &all);
+    }
+
+    #[test]
+    fn solver_matches_reference_on_paper_y_table() {
+        let (sled, params, mapper) = paper_grid();
+        let v = params.access_velocity();
+        let boundaries = params.geometry().rows_per_track + 1;
+        for from in 0..boundaries {
+            let from_y = mapper.y_of_row_start(from);
+            for from_v in [-v, 0.0, v] {
+                for to in 0..boundaries {
+                    let to_y = mapper.y_of_row_start(to);
+                    for to_v in [-v, v] {
+                        assert_matches_reference(&sled, from_y, from_v, to_y, to_v);
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Moving states anywhere in the travel range, with velocities at
+        /// rest, at ±the access velocity or arbitrary, plus the turnaround
+        /// (`p1 = p0`, `v1 = −v0`) and zero-length special cases.
+        #[test]
+        fn solver_matches_reference_on_moving_states(
+            (a, b) in (-52.5f64..52.5, -52.5f64..52.5),
+            (kind0, kind1) in (0u8..4, 0u8..4),
+            (r0, r1) in (-0.06f64..0.06, -0.06f64..0.06),
+            shape in 0u8..4,
+        ) {
+            let velocity = |kind: u8, random: f64| match kind {
+                0 => 0.0,
+                1 => V_ACCESS,
+                2 => -V_ACCESS,
+                _ => random,
+            };
+            let (p0, v0) = (a * 1e-6, velocity(kind0, r0));
+            let (p1, v1) = match shape {
+                0 => (p0, -v0),
+                1 => (p0, v0),
+                _ => (b * 1e-6, velocity(kind1, r1)),
+            };
+            let sled = paper_sled();
+            let fast = sled.seek_time(p0, v0, p1, v1);
+            let reference = sled.reference_seek_time(p0, v0, p1, v1);
+            prop_assert_eq!(fast.to_bits(), reference.to_bits());
+        }
     }
 }
