@@ -113,7 +113,7 @@ fn determinism_gate() {
     }
     if baseline.station_restructures != 0 {
         eprintln!(
-            "FAIL: {} calendar-queue restructures; station event queues must never rebuild",
+            "FAIL: {} event-queue restructures; station event slots must never rebuild",
             baseline.station_restructures
         );
         std::process::exit(1);

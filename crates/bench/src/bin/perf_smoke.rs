@@ -19,14 +19,14 @@
 //!    sweep vs the shared-surface devices. All three configurations must
 //!    report identical mean response times (the fast paths are
 //!    pick-equivalent); only the wall clock moves.
-//! 6. **events_per_sec** — the engine-throughput headline: per-component
-//!    ns/op for the calendar event queue (vs the binary-heap reference)
-//!    and the request slab, then two whole cells measured serially on one
-//!    thread so the number is per-core by construction — the Fig. 6 SPTF
-//!    cell on the shared surface, and a high-rate FCFS cell that stresses
-//!    the raw event engine. Both report `simulated requests per core
-//!    second` (the gated CI metric) and confirm the pre-sized event queue
-//!    never restructured mid-run.
+//! 6. **events_per_sec** — the engine-throughput headline: ns per
+//!    push+pop pair for the calendar event queue (vs the binary-heap
+//!    reference), then two whole cells measured serially on one thread so
+//!    the number is per-core by construction — the Fig. 6 SPTF cell on the
+//!    shared surface, and a high-rate FCFS cell that stresses the raw event
+//!    engine. Both report `simulated requests per core second` (the gated
+//!    CI metric) and confirm the driver's event slots never restructured
+//!    mid-run.
 //! 7. **streaming_scale** — the constant-memory headline: a 10⁷-request
 //!    open-loop FIFO cell pulled incrementally from the generator
 //!    (arrival look-ahead + log-histogram stats, nothing materialized)
@@ -53,7 +53,7 @@ use mems_fleet::{FleetConfig, FleetEngine, VolumeSpec};
 use mems_os::sched::{Algorithm, NaiveSptfScheduler, SptfScheduler};
 use storage_sim::{
     BinaryHeapEventQueue, Driver, DynScheduler, EventQueue, FifoScheduler, IoKind, PositionOracle,
-    Request, Scheduler, SimQueue, SimReport, SimTime, Slab, StorageDevice, VecWorkload, Workload,
+    Request, Scheduler, SimQueue, SimReport, SimTime, StorageDevice, VecWorkload, Workload,
 };
 use storage_trace::RandomWorkload;
 
@@ -156,21 +156,6 @@ fn time_queue_pair<Q: SimQueue<u64>>(pending: usize, n: u64) -> f64 {
             t += 1e-4 + (lcg(&mut x) >> 60) as f64 * 1e-5;
             q.push(SimTime::from_secs(t), i);
             std::hint::black_box(q.pop());
-        }
-    });
-    secs * 1e9 / n as f64
-}
-
-/// ns per slab insert+take pair at driver-like occupancy (one resident
-/// request plus the churning one).
-fn time_slab_pair(n: u64) -> f64 {
-    let mut slab: Slab<Request> = Slab::with_capacity(4);
-    let r = Request::new(0, SimTime::ZERO, 0, 8, IoKind::Read);
-    let _resident = slab.insert(r);
-    let (_, secs) = timed(|| {
-        for _ in 0..n {
-            let h = slab.insert(r);
-            std::hint::black_box(slab.take(h));
         }
     });
     secs * 1e9 / n as f64
@@ -506,9 +491,8 @@ fn main() {
     let heap_sparse_ns = time_queue_pair::<BinaryHeapEventQueue<u64>>(2, n_ops);
     let cal_deep_ns = time_queue_pair::<EventQueue<u64>>(4096, n_ops);
     let heap_deep_ns = time_queue_pair::<BinaryHeapEventQueue<u64>>(4096, n_ops);
-    let slab_ns = time_slab_pair(n_ops);
     println!(
-        "events/sec:  queue pair sparse {cal_sparse_ns:5.1} ns (heap {heap_sparse_ns:5.1})   deep {cal_deep_ns:5.1} ns (heap {heap_deep_ns:5.1})   slab pair {slab_ns:5.1} ns"
+        "events/sec:  queue pair sparse {cal_sparse_ns:5.1} ns (heap {heap_sparse_ns:5.1})   deep {cal_deep_ns:5.1} ns (heap {heap_deep_ns:5.1})"
     );
 
     // The gated headline: the Fig. 6 SPTF cell on the shared surface.
@@ -668,7 +652,6 @@ fn main() {
             "    \"heap_sparse_ns_per_pair\": {:.2},\n",
             "    \"calendar_deep_ns_per_pair\": {:.2},\n",
             "    \"heap_deep_ns_per_pair\": {:.2},\n",
-            "    \"slab_ns_per_pair\": {:.2},\n",
             "    \"realloc_free\": {},\n",
             "    \"fig6_cell\": {{\n",
             "      \"seeds\": {},\n",
@@ -754,7 +737,6 @@ fn main() {
         heap_sparse_ns,
         cal_deep_ns,
         heap_deep_ns,
-        slab_ns,
         realloc_free,
         SEEDS.len(),
         fig6_cell.requests,

@@ -4,11 +4,11 @@
 //! # Execution model
 //!
 //! Every leaf device is a **station**: its own request queue, scheduler,
-//! and calendar-queue event loop (a [`Driver`] stepped through the
-//! session API). Stations are partitioned contiguously into **shards**;
-//! worker threads advance whole shards to a common sim-time **barrier**,
-//! then the main thread drains each station's completions and merges
-//! them into one globally ordered stream.
+//! and event loop (a [`Driver`] stepped through the session API).
+//! Stations are partitioned contiguously into **shards**; worker threads
+//! advance whole shards to a common sim-time **barrier**, then the main
+//! thread drains each station's completions and merges them into one
+//! globally ordered stream.
 //!
 //! # Determinism guarantee
 //!
@@ -22,7 +22,8 @@
 //!   routed sub-I/Os would produce;
 //! * the merge orders completions by `(completion time, station index,
 //!   station drain order)`, a total order independent of which shard or
-//!   thread produced them;
+//!   thread produced them. Each barrier drains into one reused buffer and
+//!   sorts 16-byte keys, not whole completions;
 //! * barriers only batch the merge: `advance_until(b)` drains *every*
 //!   completion at or before `b`, so batches are disjoint time slices
 //!   and their concatenation is the same total order for any width.
@@ -106,8 +107,9 @@ pub struct FleetReport {
     pub fault_events: u64,
     /// Largest scheduler queue depth seen at any station.
     pub max_station_queue_depth: usize,
-    /// Event-queue restructures summed over stations; each station has at
-    /// most three events pending, so this stays zero.
+    /// Event-queue restructures summed over stations. Always zero: each
+    /// station driver keeps one fixed slot per event chain. Kept so
+    /// [`FleetReport::digest`] keeps its format.
     pub station_restructures: u64,
     /// Each station's own [`SimReport`], in station order.
     pub stations: Vec<SimReport>,
@@ -299,8 +301,12 @@ impl<W: Workload> Splitter<W> {
         }
     }
 
-    fn take_meta(&mut self) -> Vec<(u32, SimTime)> {
-        std::mem::take(&mut self.meta)
+    /// Hands the metadata routed since the last call to the caller by
+    /// swapping buffers: `out` is cleared and becomes the splitter's next
+    /// buffer, so neither side reallocates once both have grown.
+    fn swap_meta(&mut self, out: &mut Vec<(u32, SimTime)>) {
+        out.clear();
+        std::mem::swap(&mut self.meta, out);
     }
 }
 
@@ -420,6 +426,59 @@ impl Assembler {
         } else {
             None
         }
+    }
+}
+
+/// `t`'s bit pattern mapped so that unsigned integer order equals
+/// [`SimTime`]'s order ([`f64::total_cmp`]): negatives have every bit
+/// flipped, non-negatives only the sign bit.
+fn time_key(t: SimTime) -> u64 {
+    let bits = t.as_secs().to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
+}
+
+/// One barrier's cross-station completion merge, with buffers reused
+/// across barriers.
+///
+/// Stations drain in station order into `drained`, so a completion's index
+/// there grows with (station, per-station drain order). `keys` holds one
+/// `(time key, station, index)` per completion; the index makes every key
+/// distinct, so an unstable sort of the keys yields exactly the order of a
+/// stable sort of the completions by `(completion time, station)`.
+#[derive(Default)]
+struct Merge {
+    drained: Vec<Completion>,
+    keys: Vec<(u64, u32, u32)>,
+}
+
+impl Merge {
+    /// Starts a new barrier's batch.
+    fn clear(&mut self) {
+        self.drained.clear();
+        self.keys.clear();
+    }
+
+    /// Appends everything `station` recorded since its last drain.
+    fn drain_station(&mut self, station: usize, state: &mut RunState) {
+        let start = self.drained.len();
+        state.drain_completions_into(&mut self.drained);
+        let station = u32::try_from(station).expect("station index fits u32");
+        for (i, c) in self.drained.iter().enumerate().skip(start) {
+            let index = u32::try_from(i).expect("barrier batch fits u32");
+            self.keys.push((time_key(c.completion), station, index));
+        }
+    }
+
+    /// Puts the keys in merge order.
+    fn sort(&mut self) {
+        self.keys.sort_unstable();
+    }
+
+    /// The batch in merge order, as `(station, completion)`.
+    fn ordered(&self) -> impl Iterator<Item = (usize, &Completion)> + '_ {
+        self.keys
+            .iter()
+            .map(|&(_, station, i)| (station as usize, &self.drained[i as usize]))
     }
 }
 
@@ -722,7 +781,20 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
     /// observe through the driver's existing hooks and the profile reads
     /// the host clock without feeding anything back, so the report is
     /// bit-identical to an untraced run.
-    pub fn run_instrumented(mut self) -> FleetRun<D, T>
+    pub fn run_instrumented(self) -> FleetRun<D, T>
+    where
+        S: Send,
+        D: Send,
+        T: Send,
+        W: Send,
+    {
+        self.run_merging(Merge::sort)
+    }
+
+    /// The run loop, with `order` putting each barrier's [`Merge`] batch
+    /// in merge order. Production passes [`Merge::sort`]; the unit tests
+    /// also pass the pre-key stable sort as an oracle.
+    fn run_merging(mut self, mut order: impl FnMut(&mut Merge)) -> FleetRun<D, T>
     where
         S: Send,
         D: Send,
@@ -799,7 +871,8 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
         };
         let mut station_completions: Vec<Vec<Completion>> = vec![Vec::new(); n];
         let mut emitted_fg: u64 = 0;
-        let mut batch: Vec<(Completion, usize)> = Vec::new();
+        let mut merge = Merge::default();
+        let mut metas: Vec<(u32, SimTime)> = Vec::new();
         let epoch_secs = config.epoch.as_secs();
 
         // Run until every station's event queue is empty. The barrier is
@@ -831,28 +904,28 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
             // registered before its completions are fed (a sub completes
             // only after it was routed, and routing happens strictly
             // before the barrier's drain below).
-            let metas = splitter.lock().expect("splitter lock poisoned").take_meta();
-            for (e, a) in metas {
+            splitter
+                .lock()
+                .expect("splitter lock poisoned")
+                .swap_meta(&mut metas);
+            for &(e, a) in &metas {
                 assembler.push_meta(e, a);
             }
 
             // Drain in station order, then impose the global order:
-            // (completion time, station, per-station drain order). The
-            // sort is stable, so the third key is implicit.
-            batch.clear();
+            // (completion time, station, per-station drain order).
+            merge.clear();
             for (i, cell) in cells.iter_mut().enumerate() {
-                for c in cell.state.drain_completions() {
-                    batch.push((c, i));
-                }
+                merge.drain_station(i, &mut cell.state);
             }
-            batch.sort_by(|a, b| a.0.completion.cmp(&b.0.completion).then(a.1.cmp(&b.1)));
+            order(&mut merge);
 
-            for &(c, station) in batch.iter() {
+            for (station, c) in merge.ordered() {
                 report.subs_completed += 1;
                 if config.keep_station_completions {
-                    station_completions[station].push(c);
+                    station_completions[station].push(*c);
                 }
-                if let Some(fc) = assembler.feed(&c) {
+                if let Some(fc) = assembler.feed(c) {
                     report.makespan = report.makespan.max(fc.end);
                     let response = (fc.end - fc.arrival).as_secs();
                     if fc.id < self.foreground {
@@ -908,19 +981,21 @@ impl<S: Scheduler, D: StorageDevice, T: Tracer, W: Workload> FleetEngine<S, D, T
     }
 }
 
+/// One shard's unit of work: its contiguous cell slice plus the optional
+/// wall-clock accumulator slot (profiled runs only).
+type ShardJob<'a, S, D, T, W> = (&'a mut [Cell<S, D, T, W>], Option<&'a mut u64>);
+
 /// Advances every station to `barrier`, shard by shard. Shards are
 /// contiguous station ranges; worker threads take shards round-robin.
 /// Stations never share state, so the split is embarrassingly parallel
-/// and the post-barrier fleet state is independent of both knobs.
+/// and the post-barrier fleet state is independent of both knobs. An
+/// unprofiled run with one thread (or one shard) walks the cells in place,
+/// with no per-barrier allocation.
 ///
 /// When `shard_nanos` is supplied (profiled runs), each shard's advance
 /// wall time accumulates into its slot — slots are disjoint per shard,
 /// so workers never contend. Timing reads the host clock and feeds
 /// nothing back into simulation state.
-/// One shard's unit of work: its contiguous cell slice plus the
-/// optional wall-clock accumulator slot (profiled runs only).
-type ShardJob<'a, S, D, T, W> = (&'a mut [Cell<S, D, T, W>], Option<&'a mut u64>);
-
 fn advance_shards<
     S: Scheduler + Send,
     D: StorageDevice + Send,
@@ -935,6 +1010,20 @@ fn advance_shards<
 ) {
     let n = cells.len();
     let shards = shards.min(n).max(1);
+    let advance_all = |shard: &mut [Cell<S, D, T, W>]| {
+        for cell in shard.iter_mut() {
+            if cell.pending {
+                cell.pending = cell.driver.advance_until(&mut cell.state, barrier);
+            }
+        }
+    };
+
+    let serial = threads <= 1 || shards <= 1;
+    if serial && shard_nanos.is_none() {
+        advance_all(cells);
+        return;
+    }
+
     let mut slices: Vec<&mut [Cell<S, D, T, W>]> = Vec::with_capacity(shards);
     let mut rest = cells;
     let mut start = 0;
@@ -954,17 +1043,13 @@ fn advance_shards<
 
     let advance = |(shard, slot): ShardJob<'_, S, D, T, W>| {
         let t0 = slot.is_some().then(Instant::now);
-        for cell in shard.iter_mut() {
-            if cell.pending {
-                cell.pending = cell.driver.advance_until(&mut cell.state, barrier);
-            }
-        }
+        advance_all(shard);
         if let (Some(slot), Some(t0)) = (slot, t0) {
             *slot += t0.elapsed().as_nanos() as u64;
         }
     };
 
-    if threads <= 1 || shards <= 1 {
+    if serial {
         for job in jobs {
             advance(job);
         }
@@ -984,5 +1069,136 @@ fn advance_shards<
                 });
             }
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use storage_sim::{ConstantDevice, FifoScheduler};
+
+    /// The merge before compact keys, kept as the oracle: a stable sort of
+    /// whole `(completion, station)` records by `(completion time,
+    /// station)`, written back as keys so the run loop can consume it.
+    /// Before sorting, `keys[i]` still describes `drained[i]`.
+    fn oracle_sort(merge: &mut Merge) {
+        let mut batch: Vec<(Completion, usize, u32)> = merge
+            .keys
+            .iter()
+            .map(|&(_, station, i)| (merge.drained[i as usize], station as usize, i))
+            .collect();
+        batch.sort_by(|a, b| a.0.completion.cmp(&b.0.completion).then(a.1.cmp(&b.1)));
+        merge.keys = batch
+            .into_iter()
+            .map(|(c, station, i)| (time_key(c.completion), station as u32, i))
+            .collect();
+    }
+
+    #[test]
+    fn time_key_orders_like_sim_time() {
+        let times: Vec<SimTime> = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1e-9,
+            0.5,
+            0.5000000000000001,
+            3.0,
+            f64::MAX,
+            f64::INFINITY,
+        ]
+        .into_iter()
+        .map(SimTime::from_secs)
+        .collect();
+        for a in &times {
+            for b in &times {
+                assert_eq!(time_key(*a).cmp(&time_key(*b)), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    /// A striped fleet of constant-service stations: requests arrive in
+    /// bursts on a 1 ms grid and span up to four stripe units, so sub-I/Os
+    /// of one request, and of different requests, complete at the same
+    /// instant on different stations.
+    fn tied_fleet(config: FleetConfig) -> FleetEngine<FifoScheduler, ConstantDevice> {
+        let stations = 6;
+        let unit = 8;
+        let volume = VolumeSpec::flat(stations, unit);
+        let leaf_cap = 1 << 20;
+        let cap = volume.capacity(leaf_cap);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let requests: Vec<Request> = (0..600u64)
+            .map(|id| {
+                let at = SimTime::from_ms((id / 4) as f64);
+                let sectors = 1 + (next() % (4 * u64::from(unit))) as u32;
+                let lbn = next() % (cap - u64::from(sectors));
+                let kind = if next() % 3 == 0 {
+                    IoKind::Write
+                } else {
+                    IoKind::Read
+                };
+                Request::new(id, at, lbn, sectors, kind)
+            })
+            .collect();
+        let devices = (0..stations)
+            .map(|_| ConstantDevice::new(leaf_cap, 0.5e-3))
+            .collect();
+        FleetEngine::new(
+            devices,
+            |_| FifoScheduler::new(),
+            &volume,
+            &requests,
+            config,
+        )
+    }
+
+    /// Every merged completion as `(station, id, completion bits)`.
+    fn merged_run(config: FleetConfig, sort: fn(&mut Merge)) -> (Vec<(usize, u64, u64)>, String) {
+        let mut merged = Vec::new();
+        let run = tied_fleet(config).run_merging(|m: &mut Merge| {
+            sort(m);
+            merged.extend(
+                m.ordered()
+                    .map(|(s, c)| (s, c.request.id, c.completion.as_secs().to_bits())),
+            );
+        });
+        (merged, run.report.digest())
+    }
+
+    #[test]
+    fn key_merge_matches_the_stable_sort_oracle() {
+        for (shards, threads, epoch_ms) in [(1, 1, 10.0), (3, 1, 0.25), (6, 2, 1.0), (1, 1, 1e4)] {
+            let config = FleetConfig {
+                shards,
+                threads,
+                epoch: SimTime::from_ms(epoch_ms),
+                ..FleetConfig::default()
+            };
+            let (merged, digest) = merged_run(config, Merge::sort);
+            let (oracle, oracle_digest) = merged_run(config, oracle_sort);
+            let cross_station_ties = merged
+                .windows(2)
+                .filter(|w| w[0].2 == w[1].2 && w[0].0 != w[1].0)
+                .count();
+            assert!(
+                cross_station_ties > 100,
+                "the fleet must tie across stations ({cross_station_ties})"
+            );
+            assert_eq!(
+                merged, oracle,
+                "merge order at {shards}/{threads}/{epoch_ms} ms"
+            );
+            assert_eq!(digest, oracle_digest);
+        }
     }
 }

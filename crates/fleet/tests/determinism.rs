@@ -58,7 +58,7 @@ fn digest_is_invariant_across_shards_and_threads() {
     assert!(baseline.completed > 0);
     assert_eq!(
         baseline.station_restructures, 0,
-        "every station's calendar queue must stay restructure-free"
+        "every station's event slots must stay restructure-free"
     );
     for (shards, threads) in [(4, 1), (4, 4), (16, 8), (16, 16)] {
         let run = striped_cell(shards, threads, 10.0);

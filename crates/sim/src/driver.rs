@@ -7,21 +7,25 @@
 //! SPTF's positioning-time oracle gets consulted). One device, one
 //! outstanding request — the configuration used throughout the paper.
 //!
-//! Events live in the calendar [`EventQueue`]; in-flight requests and
-//! completions are parked in two [`Slab`]s, so event payloads are `u32`
-//! slot handles rather than whole request values.
+//! One outstanding request bounds the pending events to one per chain:
+//! the next arrival, the in-flight completion and (with a fault clock) the
+//! next fault. Each chain schedules its successor only after its current
+//! event fires, so the driver keeps one inline slot per chain instead of a
+//! priority queue, and events carry their request or completion by value.
+//! The slots pop in ascending `(time, push sequence)` order — exactly the
+//! order of the stable [`crate::EventQueue`] and
+//! [`crate::BinaryHeapEventQueue`] fed the same pushes (the heap is the
+//! slots' oracle in the unit tests below).
 
 use std::collections::VecDeque;
 use std::time::Instant;
 
 use crate::device::{ServiceBreakdown, StorageDevice};
-use crate::event::EventQueue;
 use crate::fault::{FaultClock, FaultKind};
 use crate::overload::OverloadPolicy;
 use crate::profile::ProfScope;
 use crate::request::{Completion, Request};
 use crate::sched::{SchedCounters, Scheduler};
-use crate::slab::{Slab, SlotHandle};
 use crate::stats::{ResponseStats, Welford};
 use crate::time::SimTime;
 use crate::tracer::{NoopTracer, Tracer};
@@ -56,9 +60,9 @@ pub struct SimReport {
     /// Queued requests abandoned by the pick loop after aging past the
     /// overload policy's queue timeout; always zero without a policy.
     pub timed_out: u64,
-    /// Times the calendar event queue rebuilt its ring mid-run. At most
-    /// three events are ever pending, so the minimum ring holds and this
-    /// stays zero.
+    /// Event-queue restructures mid-run. Always zero: the driver keeps
+    /// one fixed slot per event chain, which never grows. Kept so report
+    /// digests keep their format.
     pub event_queue_restructures: u64,
     /// Every completion, in completion order (only if recording was enabled).
     pub completions: Option<Vec<Completion>>,
@@ -81,12 +85,113 @@ impl SimReport {
     }
 }
 
-/// Event payload: arrivals and completions carry slot handles into the
-/// driver's slabs; faults carry their (small, `Copy`) kind directly.
+/// A popped event with its payload by value.
 enum Ev {
-    Arrival(SlotHandle),
-    Complete(SlotHandle),
+    Arrival(Request),
+    Complete(Completion),
     Fault(FaultKind),
+}
+
+/// The three event chains, for [`Pending::head`].
+#[derive(Clone, Copy)]
+enum Chain {
+    Arrival,
+    Complete,
+    Fault,
+}
+
+/// The driver's pending events: one inline `(time, seq, payload)` slot per
+/// chain and one push counter shared by all three.
+///
+/// [`Pending::pop`] takes the occupied slot with the smallest
+/// `(time, seq)`, so events pop in time order with exact-time ties going
+/// to the earlier push, as in a stable priority queue. Each chain holds at
+/// most one event; pushing onto an occupied chain is a driver bug.
+struct Pending {
+    arrival: Option<(SimTime, u64, Request)>,
+    completion: Option<(SimTime, u64, Completion)>,
+    fault: Option<(SimTime, u64, FaultKind)>,
+    seq: u64,
+}
+
+impl Pending {
+    fn new() -> Self {
+        Pending {
+            arrival: None,
+            completion: None,
+            fault: None,
+            seq: 0,
+        }
+    }
+
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    fn push_arrival(&mut self, req: Request) {
+        debug_assert!(self.arrival.is_none(), "one arrival pending at a time");
+        let seq = self.next_seq();
+        self.arrival = Some((req.arrival, seq, req));
+    }
+
+    fn push_completion(&mut self, completion: Completion) {
+        debug_assert!(self.completion.is_none(), "one request in service");
+        let seq = self.next_seq();
+        self.completion = Some((completion.completion, seq, completion));
+    }
+
+    fn push_fault(&mut self, at: SimTime, kind: FaultKind) {
+        debug_assert!(self.fault.is_none(), "one fault pending at a time");
+        let seq = self.next_seq();
+        self.fault = Some((at, seq, kind));
+    }
+
+    /// The earliest pending event's time and chain.
+    fn head(&self) -> Option<(SimTime, Chain)> {
+        let mut best: Option<(SimTime, u64, Chain)> = None;
+        let mut offer = |at: SimTime, seq: u64, chain: Chain| {
+            if best.is_none_or(|(t, s, _)| (at, seq) < (t, s)) {
+                best = Some((at, seq, chain));
+            }
+        };
+        if let Some((at, seq, _)) = self.arrival {
+            offer(at, seq, Chain::Arrival);
+        }
+        if let Some((at, seq, _)) = self.completion {
+            offer(at, seq, Chain::Complete);
+        }
+        if let Some((at, seq, _)) = self.fault {
+            offer(at, seq, Chain::Fault);
+        }
+        best.map(|(at, _, chain)| (at, chain))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.head().map(|(at, _)| at)
+    }
+
+    /// Removes and returns the earliest event, unless it fires after
+    /// `limit`.
+    fn pop(&mut self, limit: Option<SimTime>) -> Option<(SimTime, Ev)> {
+        let (at, chain) = self.head()?;
+        if limit.is_some_and(|limit| at > limit) {
+            return None;
+        }
+        let ev = match chain {
+            Chain::Arrival => Ev::Arrival(self.arrival.take().expect("head is pending").2),
+            Chain::Complete => Ev::Complete(self.completion.take().expect("head is pending").2),
+            Chain::Fault => Ev::Fault(self.fault.take().expect("head is pending").2),
+        };
+        Some((at, ev))
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.arrival.is_some())
+            + usize::from(self.completion.is_some())
+            + usize::from(self.fault.is_some())
+    }
 }
 
 /// Loop state of an in-progress simulation session, produced by
@@ -95,11 +200,11 @@ enum Ev {
 /// Extracting the state lets callers interleave many drivers on one
 /// thread — the fleet engine steps every device of a shard to a common
 /// sim-time barrier via [`Driver::advance_until`], draining completions
-/// between barriers with [`RunState::drain_completions`]. The fields are
+/// between barriers with [`RunState::drain_completions_into`]. The fields are
 /// exactly the locals of the pre-session one-shot loop, so stepped runs
 /// and [`Driver::run`] share one code path and one result.
 pub struct RunState {
-    events: EventQueue<Ev>,
+    events: Pending,
     report: SimReport,
     device_busy: bool,
     completed_total: u64,
@@ -111,8 +216,8 @@ pub struct RunState {
     last_arrival: SimTime,
     /// Bounded look-ahead buffer between the workload and the arrival
     /// chain: refilled in batches of the driver's look-ahead size whenever
-    /// it runs dry. Exactly one buffered arrival is ever in the event
-    /// queue, so buffer size never changes event order — only how often
+    /// it runs dry. Exactly one buffered arrival is ever pending as an
+    /// event, so buffer size never changes event order — only how often
     /// the workload is consulted.
     lookahead_buf: VecDeque<Request>,
     /// Whether the overload policy is currently shedding arrivals
@@ -123,8 +228,9 @@ pub struct RunState {
 }
 
 impl RunState {
-    /// Number of events still pending in the queue. Zero means the run is
-    /// over: nothing is in flight and the workload chain has ended.
+    /// Number of events still pending (at most three: one per chain). Zero
+    /// means the run is over: nothing is in flight and the workload chain
+    /// has ended.
     pub fn pending_events(&self) -> usize {
         self.events.len()
     }
@@ -135,14 +241,14 @@ impl RunState {
         self.events.peek_time()
     }
 
-    /// Takes every completion recorded so far (in completion order),
-    /// leaving the recording buffer empty for the next barrier interval.
-    /// Returns an empty vector unless the driver was built with
-    /// [`Driver::record_completions`]`(true)`.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        match self.report.completions.as_mut() {
-            Some(all) => std::mem::take(all),
-            None => Vec::new(),
+    /// Moves every completion recorded so far (in completion order) onto
+    /// the end of `out`, leaving the recording buffer empty but with its
+    /// capacity, so a caller draining every barrier allocates nothing once
+    /// both buffers have grown. Moves nothing unless the driver was built
+    /// with [`Driver::record_completions`]`(true)`.
+    pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
+        if let Some(all) = self.report.completions.as_mut() {
+            out.append(all);
         }
     }
 }
@@ -193,8 +299,6 @@ pub struct Driver<W, S, D, T = NoopTracer> {
     scheduler: S,
     device: D,
     tracer: T,
-    arrivals: Slab<Request>,
-    completions: Slab<Completion>,
     faults: FaultClock,
     warmup_requests: u64,
     record_completions: bool,
@@ -212,8 +316,6 @@ impl<W: Workload, S: Scheduler, D: StorageDevice> Driver<W, S, D> {
             scheduler,
             device,
             tracer: NoopTracer,
-            arrivals: Slab::with_capacity(4),
-            completions: Slab::with_capacity(4),
             faults: FaultClock::empty(),
             warmup_requests: 0,
             record_completions: false,
@@ -234,8 +336,6 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
             scheduler: self.scheduler,
             device: self.device,
             tracer,
-            arrivals: self.arrivals,
-            completions: self.completions,
             faults: self.faults,
             warmup_requests: self.warmup_requests,
             record_completions: self.record_completions,
@@ -279,7 +379,7 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
 
     /// Sets the arrival look-ahead: how many requests are pulled from the
     /// workload per refill of the internal buffer. Exactly one arrival is
-    /// ever in the event queue regardless, so this never changes simulated
+    /// ever pending as an event regardless, so this never changes simulated
     /// results — only the batching of workload pulls (larger values
     /// amortize per-pull overhead for streaming generators). Default 1.
     ///
@@ -344,17 +444,13 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
         self.finish(state)
     }
 
-    /// Starts a resumable simulation session: primes the event queue with
-    /// the first arrival (and the first fault, if a clock is attached) and
-    /// returns the loop state. Drive it with [`Driver::advance_until`] and
-    /// close it with [`Driver::finish`]; [`Driver::run`] composes exactly
-    /// these steps, so a stepped run reproduces a one-shot run bit for bit.
+    /// Starts a resumable simulation session: schedules the first arrival
+    /// (and the first fault, if a clock is attached) and returns the loop
+    /// state. Drive it with [`Driver::advance_until`] and close it with
+    /// [`Driver::finish`]; [`Driver::run`] composes exactly these steps, so
+    /// a stepped run reproduces a one-shot run bit for bit.
     pub fn begin(&mut self) -> RunState {
-        // The pending-event population is bounded by the chains, not the
-        // workload: one in-flight arrival, one completion, and (with a
-        // non-empty fault clock) one fault. The minimum calendar ring
-        // holds that without ever rebuilding.
-        let mut events = EventQueue::new();
+        let mut events = Pending::new();
         let report = SimReport {
             completed: 0,
             makespan: SimTime::ZERO,
@@ -390,17 +486,11 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
         );
         let mut primed = false;
         if let Some(first) = lookahead_buf.pop_front() {
-            let at = first.arrival;
-            let handle = timed(&mut self.tracer, ProfScope::SlabAlloc, || {
-                self.arrivals.insert(first)
-            });
-            timed(&mut self.tracer, ProfScope::EventPush, || {
-                events.push(at, Ev::Arrival(handle))
-            });
+            events.push_arrival(first);
             primed = true;
         }
 
-        // Faults enter the queue one at a time (the clock is already time-
+        // Faults are scheduled one at a time (the clock is already time-
         // ordered); each delivery schedules its successor, exactly like the
         // workload's arrival chain. An empty clock pushes nothing, so the
         // fault-free event sequence is untouched. An empty *workload*
@@ -408,9 +498,7 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
         // pre-session driver, which returned before touching the clock.
         if primed {
             if let Some(fault) = self.faults.pop() {
-                timed(&mut self.tracer, ProfScope::EventPush, || {
-                    events.push(fault.at, Ev::Fault(fault.kind))
-                });
+                events.push_fault(fault.at, fault.kind);
             }
         }
 
@@ -484,21 +572,9 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
     }
 
     /// The event loop shared by [`Driver::run`] (no limit) and
-    /// [`Driver::advance_until`] (barrier-bounded). With `limit == None`
-    /// the peek is skipped entirely, so the one-shot hot path is untouched.
+    /// [`Driver::advance_until`] (barrier-bounded).
     fn advance_inner(&mut self, state: &mut RunState, limit: Option<SimTime>) -> bool {
-        loop {
-            if let Some(limit) = limit {
-                match state.events.peek_time() {
-                    Some(t) if t <= limit => {}
-                    _ => break,
-                }
-            }
-            let Some(event) = timed(&mut self.tracer, ProfScope::EventPop, || state.events.pop())
-            else {
-                break;
-            };
-            let now = event.at;
+        while let Some((now, event)) = state.events.pop(limit) {
             if T::PROFILE {
                 state.event_count += 1;
             }
@@ -509,11 +585,8 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
                 self.tracer.on_queue_depth(now, self.scheduler.len());
             }
 
-            match event.payload {
-                Ev::Arrival(handle) => {
-                    let req = timed(&mut self.tracer, ProfScope::SlabFree, || {
-                        self.arrivals.take(handle)
-                    });
+            match event {
+                Ev::Arrival(req) => {
                     // Overload admission: update the hysteresis state
                     // against the pre-enqueue depth, then shed or admit.
                     // Shed arrivals never reach the scheduler; they are
@@ -544,23 +617,14 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
                             state.report.max_queue_depth.max(self.scheduler.len());
                     }
                     if let Some(next) = self.pull_arrival(state) {
-                        let at = next.arrival;
-                        let handle = timed(&mut self.tracer, ProfScope::SlabAlloc, || {
-                            self.arrivals.insert(next)
-                        });
-                        timed(&mut self.tracer, ProfScope::EventPush, || {
-                            state.events.push(at, Ev::Arrival(handle))
-                        });
+                        state.events.push_arrival(next);
                     }
                     if !state.device_busy {
                         state.device_busy =
                             self.start_next(now, &mut state.events, &mut state.report);
                     }
                 }
-                Ev::Complete(handle) => {
-                    let completion = timed(&mut self.tracer, ProfScope::SlabFree, || {
-                        self.completions.take(handle)
-                    });
+                Ev::Complete(completion) => {
                     state.completed_total += 1;
                     if state.completed_total > self.warmup_requests {
                         state.report.completed += 1;
@@ -597,14 +661,12 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
                         self.tracer.on_fault(&kind, now);
                     }
                     if let Some(next) = self.faults.pop() {
-                        timed(&mut self.tracer, ProfScope::EventPush, || {
-                            state.events.push(next.at, Ev::Fault(next.kind))
-                        });
+                        state.events.push_fault(next.at, next.kind);
                     }
                 }
             }
         }
-        !state.events.is_empty()
+        state.events.len() > 0
     }
 
     /// Closes a session and returns the aggregated report. Call after
@@ -616,7 +678,6 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
                 .on_run_wall(state.event_count, run_start.elapsed().as_nanos() as u64);
         }
         let mut report = state.report;
-        report.event_queue_restructures = state.events.rebuilds();
         let span = report.makespan.as_secs();
         report.mean_queue_depth = if span > 0.0 {
             state.depth_integral / span
@@ -628,12 +689,7 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
 
     /// Starts servicing the scheduler's next pick at `now`, if any.
     /// Returns whether the device is now busy.
-    fn start_next(
-        &mut self,
-        now: SimTime,
-        events: &mut EventQueue<Ev>,
-        report: &mut SimReport,
-    ) -> bool {
+    fn start_next(&mut self, now: SimTime, events: &mut Pending, report: &mut SimReport) -> bool {
         let depth_before = if T::ENABLED { self.scheduler.len() } else { 0 };
         let counters_before = if T::ENABLED {
             self.scheduler.counters()
@@ -691,13 +747,7 @@ impl<W: Workload, S: Scheduler, D: StorageDevice, T: Tracer> Driver<W, S, D, T> 
                     start_service: now,
                     completion: now + total,
                 };
-                let at = completion.completion;
-                let handle = timed(&mut self.tracer, ProfScope::SlabAlloc, || {
-                    self.completions.insert(completion)
-                });
-                timed(&mut self.tracer, ProfScope::EventPush, || {
-                    events.push(at, Ev::Complete(handle))
-                });
+                events.push_completion(completion);
                 true
             }
             None => false,
@@ -1018,6 +1068,136 @@ mod tests {
             r.response.max() <= 11.1e-3,
             "serviced work stayed in deadline"
         );
+    }
+
+    /// One pending-set payload per chain, tagged with `tag` so pops can be
+    /// matched against the oracle's `(chain, tag)` payloads.
+    fn push_chain(p: &mut Pending, chain: u32, at: SimTime, tag: u32) {
+        let r = Request::new(u64::from(tag), at, 0, 8, IoKind::Read);
+        match chain {
+            0 => p.push_arrival(r),
+            1 => p.push_completion(Completion {
+                request: r,
+                start_service: at,
+                completion: at,
+            }),
+            _ => p.push_fault(at, FaultKind::TipFailure { tip: tag }),
+        }
+    }
+
+    fn occupied(p: &Pending, chain: u32) -> bool {
+        match chain {
+            0 => p.arrival.is_some(),
+            1 => p.completion.is_some(),
+            _ => p.fault.is_some(),
+        }
+    }
+
+    /// A popped event as `(time, chain, tag)`, the oracle's payload shape.
+    fn tagged((at, ev): (SimTime, Ev)) -> (SimTime, (u32, u32)) {
+        match ev {
+            Ev::Arrival(r) => (at, (0, r.id as u32)),
+            Ev::Complete(c) => (at, (1, c.request.id as u32)),
+            Ev::Fault(FaultKind::TipFailure { tip }) => (at, (2, tip)),
+            Ev::Fault(other) => panic!("unexpected fault {other:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        /// The three chain slots pop exactly like the binary-heap queue fed
+        /// the same pushes. Times come from a six-point domain, so exact
+        /// ties between arrival, completion and fault are the common case
+        /// and the push-sequence tie-break decides most pops. A push onto
+        /// an occupied chain (the driver never makes one) pops instead.
+        #[test]
+        fn chain_slots_pop_like_the_heap_oracle(
+            ops in proptest::prop::collection::vec((0u32..3, 0u32..6, proptest::prop::bool::ANY), 0..200),
+        ) {
+            let mut slots = Pending::new();
+            let mut heap = crate::event::BinaryHeapEventQueue::new();
+            for (i, &(chain, t, is_pop)) in ops.iter().enumerate() {
+                if is_pop || occupied(&slots, chain) {
+                    let got = slots.pop(None).map(tagged);
+                    let want = heap.pop().map(|e| (e.at, e.payload));
+                    proptest::prop_assert_eq!(got, want, "pop {}", i);
+                } else {
+                    let at = SimTime::from_us(f64::from(t));
+                    push_chain(&mut slots, chain, at, i as u32);
+                    heap.push(at, (chain, i as u32));
+                }
+                proptest::prop_assert_eq!(slots.len(), heap.len());
+                proptest::prop_assert_eq!(slots.peek_time(), heap.peek_time());
+            }
+            while let Some(e) = heap.pop() {
+                proptest::prop_assert_eq!(slots.pop(None).map(tagged), Some((e.at, e.payload)));
+            }
+            proptest::prop_assert!(slots.pop(None).is_none());
+        }
+    }
+
+    #[test]
+    fn pop_respects_the_limit() {
+        let mut p = Pending::new();
+        push_chain(&mut p, 1, SimTime::from_ms(2.0), 0);
+        assert!(p.pop(Some(SimTime::from_ms(1.0))).is_none());
+        assert_eq!(p.len(), 1);
+        let (at, _) = p
+            .pop(Some(SimTime::from_ms(2.0)))
+            .expect("due at the limit");
+        assert_eq!(at, SimTime::from_ms(2.0));
+        assert_eq!(p.len(), 0);
+    }
+
+    #[test]
+    fn fault_on_an_arrival_instant_fires_in_push_order() {
+        use crate::fault::{FaultClock, FaultEvent};
+        use crate::tracer::{RingTracer, TraceEvent};
+
+        // 2 ms service. At t = 2 ms three events tie: the fault (pushed at
+        // begin, seq 1), r0's completion (pushed at t = 0, seq 3) and r2's
+        // arrival (pushed at t = 1 ms, seq 4). Push order delivers the
+        // fault, then starts r1, then queues r2 behind it. Ordering ties
+        // by chain instead (arrival first) would queue r2 next to r1 and
+        // raise the peak depth to 2.
+        let reqs = vec![req(0, 0.0, 0), req(1, 1.0, 8), req(2, 2.0, 16)];
+        let clock = FaultClock::from_events(vec![FaultEvent {
+            at: SimTime::from_ms(2.0),
+            kind: FaultKind::TransientSeekError,
+        }]);
+        let mut d = Driver::new(
+            VecWorkload::new(reqs),
+            FifoScheduler::new(),
+            ConstantDevice::new(100, 2e-3),
+        )
+        .with_faults(clock)
+        .record_completions(true)
+        .with_tracer(RingTracer::new(64));
+        let r = d.run();
+        let order: Vec<(u64, u64)> = r
+            .completions
+            .as_ref()
+            .unwrap()
+            .iter()
+            .map(|c| (c.request.id, c.completion.as_ms().round() as u64))
+            .collect();
+        assert_eq!(order, vec![(0, 2), (1, 4), (2, 6)]);
+        assert_eq!(r.fault_events, 1);
+        assert_eq!(r.max_queue_depth, 1);
+
+        let at_2ms: Vec<String> = d
+            .tracer()
+            .events()
+            .filter_map(|e| match *e {
+                TraceEvent::Arrival { id, t, .. } => Some((t, format!("arrival {id}"))),
+                TraceEvent::Pick { id, t, .. } => Some((t, format!("pick {id}"))),
+                TraceEvent::Complete { id, t, .. } => Some((t, format!("complete {id}"))),
+                TraceEvent::Fault { t, .. } => Some((t, "fault".to_string())),
+                TraceEvent::Service { .. } => None,
+            })
+            .filter(|&(t, _)| t == 2e-3)
+            .map(|(_, label)| label)
+            .collect();
+        assert_eq!(at_2ms, ["fault", "complete 0", "pick 1", "arrival 2"]);
     }
 
     #[test]

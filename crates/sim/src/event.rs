@@ -13,15 +13,22 @@
 //!   `(time, seq)`, with an occupancy bitmap for sparse scans, an overflow
 //!   min-heap for events beyond the ring's span, and an automatic rebuild
 //!   that retunes the bucket width to the observed event density. This is
-//!   the driver's queue: in the arrival-dominated regime pops hit the
-//!   cursor bucket directly and pushes are one binary insert into a
-//!   near-empty bucket, with no heap sift.
+//!   the closed loop's queue ([`crate::closed_loop`] keeps one pending
+//!   issue per thinker, so its population grows with the multiprogramming
+//!   level) and the general-purpose queue the engine benches measure: pops
+//!   hit the cursor bucket directly and pushes are one binary insert into
+//!   a near-empty bucket, with no heap sift.
 //! * [`BinaryHeapEventQueue`] — the classic `BinaryHeap` min-queue, kept as
 //!   the reference implementation the property tests and the perf ladder
-//!   compare against.
+//!   compare against, and the oracle for the [`crate::Driver`]'s
+//!   one-slot-per-chain pending set.
 //!
-//! Pop-order equivalence between the two is asserted by unit tests here
-//! and by the engine property tests.
+//! The open-loop [`crate::Driver`] uses neither: with one request in
+//! service it never has more than three events pending, one per chain, and
+//! keeps them in fixed slots that pop in the same `(time, seq)` order.
+//!
+//! Pop-order equivalence between the two queues is asserted by unit tests
+//! here and by the engine property tests.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -242,7 +249,7 @@ const INITIAL_WIDTH: f64 = 1e-3;
 type Bucket<T> = Vec<(SimTime, u64, T)>;
 
 /// A calendar (bucketed) min-queue of timestamped events with FIFO
-/// tie-breaking — the driver's event queue.
+/// tie-breaking — the closed loop's event queue.
 ///
 /// Events land in fixed-width time buckets on a power-of-two ring indexed
 /// by absolute bucket number; a cursor tracks the earliest live bucket, an

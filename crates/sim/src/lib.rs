@@ -47,7 +47,6 @@ pub mod profile;
 pub mod request;
 pub mod rng;
 pub mod sched;
-pub mod slab;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
@@ -65,7 +64,6 @@ pub use overload::OverloadPolicy;
 pub use profile::{ProfScope, Profiler, ScopeStats};
 pub use request::{Completion, IoKind, Request, RequestId};
 pub use sched::{DynScheduler, FifoScheduler, SchedCounters, Scheduler};
-pub use slab::{Slab, SlotHandle};
 pub use stats::{Histogram, LogHistogram, ResponseStats, Welford};
 pub use telemetry::{Telemetry, TracerPair, Window};
 pub use time::SimTime;

@@ -9,8 +9,10 @@
 //! is simulated, not just how fast.
 //!
 //! The engine's own fast paths have their references in unit and property
-//! tests instead: the calendar event queue against the binary heap
-//! (`storage-sim`'s queue proptests), the request slab by its unit tests.
+//! tests instead: the driver's per-chain event slots and the calendar
+//! event queue against the binary heap (`storage-sim`'s driver and queue
+//! proptests), the fleet's keyed merge against the old stable sort
+//! (`mems-fleet`'s engine unit tests).
 
 use atlas_disk::{DiskDevice, DiskParams};
 use mems_device::{MemsDevice, MemsParams};
